@@ -12,7 +12,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .fields import PrimeField, ExtensionField, Rationals, FieldError
+from .fields import FieldSpec, FieldError
 from .series import DualityParams, check_cm_functional_equation, solve_almost_cm, NotAlmostCM
 from .parsing import parse_series, parse_poly, ParseError, ring_with_relations
 from .rings import PresentationError
@@ -21,7 +21,6 @@ from .resolution import minimal_resolution, ext_growth_class, ResolutionError
 from .koszul import is_regular_sequence
 from .localcoh import cech_table, duality_table, LocalCohomologyError
 from .hypersurface import (HypersurfaceData, HypersurfaceError,
-                           splice_periodic_resolution,
                            matrix_factorization_from_resolution,
                            gulliksen_periodicity_check)
 from .groups import group_preset, group_from_dict, GroupError, GROUP_PRESETS
@@ -59,19 +58,24 @@ def _load_json(path):
         raise InputError(f"cannot read {path}: {exc}")
 
 
-def _field_of(data):
-    char = int(data.get("char", 0))
-    degree = int(data.get("field_degree", 1))
-    if char == 0:
-        return Rationals()
-    if degree == 1:
-        return PrimeField(char)
-    return ExtensionField(char, degree)
+def _check_keys(data, allowed, what):
+    """Reject anything but a JSON object whose keys are all in `allowed`."""
+    if not isinstance(data, dict):
+        raise InputError(f"{what} must be a JSON object")
+    unknown = sorted(set(data) - set(allowed))
+    if unknown:
+        raise InputError(f"unknown {what} keys {unknown}; allowed: {list(allowed)}")
 
 
 def _ring_from_dict(data):
-    field = _field_of(data)
-    gens = [(v["name"], int(v["codegree"])) for v in data.get("vars", [])]
+    _check_keys(data, ("char", "field_degree", "vars", "relations"), "ring")
+    field = FieldSpec(int(data.get("char", 0)), int(data.get("field_degree", 1))).build()
+    gens = []
+    for v in data.get("vars", []):
+        _check_keys(v, ("name", "codegree"), "variable")
+        if "name" not in v or "codegree" not in v:
+            raise InputError("each variable needs a 'name' and a 'codegree'")
+        gens.append((v["name"], int(v["codegree"])))
     return ring_with_relations(field, gens, data.get("relations", []))
 
 
@@ -81,6 +85,7 @@ def _load_ring(path):
 
 def _load_module(path):
     data = _load_json(path)
+    _check_keys(data, ("ring", "gen_shifts", "rel_columns"), "module")
     ring_spec = data.get("ring")
     if isinstance(ring_spec, str):
         ring = _load_ring(ring_spec)
@@ -88,8 +93,8 @@ def _load_module(path):
         ring = _ring_from_dict(ring_spec)
     else:
         raise InputError("module file needs a 'ring' entry (inline or file path)")
-    cols = [[parse_poly(src, ring) for src in col] for col in data.get("rels", [])]
-    return GradedModule(ring, data.get("gens", [0]), cols)
+    cols = [[parse_poly(src, ring) for src in col] for col in data.get("rel_columns", [])]
+    return GradedModule(ring, data.get("gen_shifts", [0]), cols)
 
 
 def _parse_window(text):
@@ -123,7 +128,7 @@ def _table_report(table):
 def _cmd_hilbert(args):
     ring = _load_ring(args.ring)
     n_max = args.nmax
-    prefix = [GradedModule.ring_as_module(ring).dim(n) for n in range(n_max + 1)]
+    prefix = ring.hilbert_prefix(n_max)
     report = {"command": "hilbert", "prefix": prefix,
               "lines": [f"dims [0..{n_max}]: {prefix}"]}
     failed = False
@@ -268,8 +273,7 @@ def _cmd_squeezed(args):
         group = group_preset(args.group)
     if args.char == 0:
         raise InputError("squeezed resolutions need positive characteristic")
-    field = (PrimeField(args.char) if args.field_degree == 1
-             else ExtensionField(args.char, args.field_degree))
+    field = FieldSpec(args.char, args.field_degree).build()
     dims, homology = squeezed_resolution(group, field, args.steps)
     report = {"command": "squeezed", "projective_dims": dims,
               "homology_dims": homology,

@@ -335,8 +335,3 @@ class FieldSpec:
         if self.char == 0:
             return "FieldSpec(QQ)"
         return f"FieldSpec(GF({self.char}^{self.degree}))"
-
-
-def field_arithmetic(spec: FieldSpec):
-    """Build the field handle described by `spec`."""
-    return spec.build()

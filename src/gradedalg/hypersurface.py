@@ -49,65 +49,34 @@ def _check_kills_module(h, module):
         comp_dim = module.dim(shift)
         if comp_dim == 0:
             continue
-        idx = [i for (i, mono) in module.free.basis(shift)]
         # column of f * e_j inside the target component
-        gen_coords = module.component(shift).reduce(
-            module.free.coords_of(_gen_element(module, j), shift))
+        unit = module.free.scalar_columns(module.ring.pconst(1))[j]
+        gen_coords = module.component(shift).reduce(module.free.coords_of(unit, shift))
         image = col.apply(gen_coords)
         if any(x != module.ring.field.zero() for x in image):
             raise HypersurfaceError("f does not annihilate the module")
 
 
-def _gen_element(module, j):
-    elem = [dict() for _ in module.gen_shifts]
-    elem[j] = module.ring.pconst(1)
-    return elem
-
-
-def _solve_chain_map(target_diff, source_free, target_free, rhs_columns, degree_raise):
+def _solve_chain_map(target_diff, source_free, target_free, rhs, degree_raise):
     """Solve target_diff . X = rhs degreewise, one column per source generator.
 
-    rhs_columns[j] is an element of target_diff's target free module at
-    codegree source_free.shifts[j] + degree_raise.  Returns a PolyMatrix
-    from the shifted source to target_free.
+    rhs holds the entries of a matrix whose column j is an element of
+    target_diff's target free module at codegree source_free.shifts[j] +
+    degree_raise.  Returns a PolyMatrix from the shifted source to
+    target_free.
     """
     ring = source_free.ring
     shifted = FreeModule(ring, [s + degree_raise for s in source_free.shifts])
     cols = []
     for j, s in enumerate(source_free.shifts):
         n = s + degree_raise
-        b = target_diff.target.coords_of(rhs_columns[j], n)
+        b = target_diff.target.coords_of([row[j] for row in rhs], n)
         sol = target_diff.matrix_at(n).solve(b)
         if sol is None:
             raise HypersurfaceError("null homotopy system is inconsistent")
         cols.append(target_free.element_of(sol, n))
     entries = [[cols[c][r] for c in range(len(cols))] for r in range(target_free.rank)]
     return PolyMatrix(target_free, shifted, entries)
-
-
-def _scale_identity_columns(free, poly):
-    """Columns of poly * identity on a free module, as element vectors."""
-    ring = free.ring
-    out = []
-    for j in range(free.rank):
-        elem = [dict() for _ in range(free.rank)]
-        elem[j] = dict(poly)
-        out.append(elem)
-    return out
-
-
-def _apply_polymatrix(pm, element):
-    """pm applied to an element vector of its source free module."""
-    ring = pm.target.ring
-    out = [dict() for _ in range(pm.target.rank)]
-    for c, p in enumerate(element):
-        if not p:
-            continue
-        for r in range(pm.target.rank):
-            e = pm.entries[r][c]
-            if e:
-                out[r] = ring.padd(out[r], ring.pmul(e, p))
-    return out
 
 
 class HomotopySystem:
@@ -139,37 +108,28 @@ class HomotopySystem:
 
     def _solve_level(self, k, i, partial):
         ring = self.h.base
-        F = self.res.frees
-        src = F[i]
-        tgt = F[i + 2 * k - 1]
-        # right side: f*id (k=1) minus s_k d - sum_{a+b=k, a,b>=1} s_a s_b,
-        # moved so that d . s_k^{(i)} = rhs
-        rhs = [[dict() for _ in range(tgt.rank)] for _ in range(src.rank)]
+        src = self.res.frees[i]
+        d_tgt = self._diff(i + 2 * k - 1)
+        # d . s_k^{(i)} = f*id (k=1) - s_k^{(i-1)} d - sum_{a+b=k, a,b>=1} s_a s_b,
+        # a map F_i -> F_{i+2k-2}; f*id is symmetric, so its columns are its rows
         if k == 1:
-            for j, col in enumerate(_scale_identity_columns(src, self.h.f)):
-                rhs[j] = col
+            rhs = src.scalar_columns(self.h.f)
+        else:
+            rhs = [[{} for _ in range(src.rank)] for _ in range(d_tgt.target.rank)]
+        products = []
         if i > 0:
-            prev = partial[i - 1]
-            d_i = self._diff(i)
-            for j in range(src.rank):
-                col = [d_i.entries[r][j] for r in range(d_i.target.rank)]
-                image = _apply_polymatrix(prev, col)
-                for r in range(tgt.rank):
-                    rhs[j][r] = ring.psub(rhs[j][r], image[r])
+            products.append(partial[i - 1].entries_times(self._diff(i)))
         for a in range(1, k):
             b = k - a
             # s_a applied after s_b: F_i -> F_{i+2b-1} -> F_{i+2k-2}
             sb = self.s[b].get(i)
             sa = self.s[a].get(i + 2 * b - 1)
-            if sb is None or sa is None:
-                continue
-            for j in range(src.rank):
-                col = [sb.entries[r][j] for r in range(sb.target.rank)]
-                image = _apply_polymatrix(sa, col)
-                for r in range(tgt.rank):
-                    rhs[j][r] = ring.psub(rhs[j][r], image[r])
-        d_tgt = self._diff(i + 2 * k - 1)
-        return _solve_chain_map(d_tgt, src, tgt, rhs, k * self.h.d)
+            if sb is not None and sa is not None:
+                products.append(sa.entries_times(sb))
+        for prod in products:
+            rhs = [[ring.psub(x, y) for x, y in zip(row, prod_row)]
+                   for row, prod_row in zip(rhs, prod)]
+        return _solve_chain_map(d_tgt, src, self.res.frees[i + 2 * k - 1], rhs, k * self.h.d)
 
     def homotopy(self, k, i):
         """s_k restricted to F_i, or None when the target vanishes."""
@@ -278,19 +238,9 @@ class MatrixFactorization:
 
     def verify(self):
         """Both products equal f * identity, as exact polynomial matrices."""
-        ring = self.h.base
         f = self.h.f
-        for X, Y in ((self.A.entries, self.B.entries), (self.B.entries, self.A.entries)):
-            size = len(X)
-            for r in range(size):
-                for c in range(size):
-                    acc = {}
-                    for k in range(len(Y)):
-                        acc = ring.padd(acc, ring.pmul(X[r][k], Y[k][c]))
-                    want = f if r == c else {}
-                    if ring.psub(acc, want):
-                        return False
-        return True
+        return all(X.entries_times(Y) == X.target.scalar_columns(f)
+                   for X, Y in ((self.A, self.B), (self.B, self.A)))
 
 
 def matrix_factorization_from_resolution(h: HypersurfaceData, module,

@@ -41,48 +41,27 @@ class KoszulComplex:
         """Codegree shifts of the rank-C(c,i) term in homological degree i."""
         return [sum(self.codegrees[j] for j in S) for S in self.subsets[i]]
 
-    def term_dim(self, i, n):
-        return sum(self.module.dim(n - s) for s in self.term_shifts(i))
+    def term_sizes(self, i, n):
+        """Dimension of each summand of the degree-n slice of term i."""
+        return [self.module.dim(n - s) for s in self.term_shifts(i)]
 
-    def _term_layout(self, i, n):
-        """(offset, component degree) per subset for the degree-n slice of term i."""
-        layout = []
-        off = 0
-        for s in self.term_shifts(i):
-            layout.append((off, n - s))
-            off += self.module.dim(n - s)
-        return layout
+    def term_dim(self, i, n):
+        return sum(self.term_sizes(i, n))
 
     def differential(self, i, n) -> Matrix:
         """The degree-n slice of d_i: K_i -> K_{i-1} (codegree preserved)."""
         key = (i, n)
         if key in self._diff_cache:
             return self._diff_cache[key]
-        F = self.ring.field
-        src = self._term_layout(i, n)
-        tgt = self._term_layout(i - 1, n)
         tgt_index = {S: k for k, S in enumerate(self.subsets[i - 1])}
-        rows = self.term_dim(i - 1, n)
-        cols = []
-        for k, S in enumerate(self.subsets[i]):
-            s_off, s_deg = src[k]
-            width = self.module.dim(s_deg)
-            blocks = []
+        blocks = {}
+        for k, (S, s) in enumerate(zip(self.subsets[i], self.term_shifts(i))):
             for pos, l in enumerate(S):
                 T = tuple(x for x in S if x != l)
-                t_off, _ = tgt[tgt_index[T]]
-                mm = self.module.mult_matrix(self.elements[l], s_deg)
-                sign = -1 if pos % 2 else 1
-                blocks.append((t_off, sign, mm))
-            for col_local in range(width):
-                col = [F.zero()] * rows
-                for t_off, sign, mm in blocks:
-                    v = mm.column(col_local)
-                    for r, entry in enumerate(v):
-                        val = entry if sign == 1 else F.neg(entry)
-                        col[t_off + r] = F.add(col[t_off + r], val)
-                cols.append(col)
-        m = Matrix.from_columns(F, cols, rows)
+                mm = self.module.mult_matrix(self.elements[l], n - s)
+                blocks[tgt_index[T], k] = (-1 if pos % 2 else 1, mm)
+        m = Matrix.from_blocks(self.ring.field, self.term_sizes(i - 1, n),
+                               self.term_sizes(i, n), blocks)
         self._diff_cache[key] = m
         return m
 

@@ -48,6 +48,26 @@ class Matrix:
             return cls.zero(field, nrows, 0)
         return cls(field, [[c[i] for c in cols] for i in range(nrows)], len(cols))
 
+    @classmethod
+    def from_blocks(cls, field, row_sizes, col_sizes, blocks):
+        """Block matrix with the given block row and block column sizes.
+
+        blocks maps (block row, block column) to (sign, Matrix), sign being
+        1 or -1; missing blocks are zero.  Blocks never overlap, so every
+        entry is written once.
+        """
+        row_off = [sum(row_sizes[:i]) for i in range(len(row_sizes))]
+        col_off = [sum(col_sizes[:j]) for j in range(len(col_sizes))]
+        ncols = sum(col_sizes)
+        z = field.zero()
+        rows = [[z] * ncols for _ in range(sum(row_sizes))]
+        for (i, j), (sign, m) in blocks.items():
+            c = col_off[j]
+            for r, src in enumerate(m.rows):
+                rows[row_off[i] + r][c:c + m.ncols] = (
+                    src if sign == 1 else [field.neg(x) for x in src])
+        return cls(field, rows, ncols)
+
     # -- basics -------------------------------------------------------
 
     def column(self, j):

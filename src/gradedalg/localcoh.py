@@ -20,7 +20,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .linalg import Matrix, RowSpace
-from .modules import FreeModule, GradedModule, PolyMatrix
+from .modules import FreeModule, PolyMatrix
 from .resolution import minimal_resolution
 
 
@@ -74,105 +74,68 @@ class _KoszulCochainSlice:
     def subset_degree(self, S):
         return self.n + sum(self.levels[j] * self.codegrees[j] for j in S)
 
-    def layout(self, i):
-        out = []
-        off = 0
-        for S in self.subsets[i]:
-            d = self.subset_degree(S)
-            out.append((off, d))
-            off += self.module.dim(d)
-        return out
+    def sizes(self, i):
+        """Dimension of each summand of cochain degree i."""
+        return [self.module.dim(self.subset_degree(S)) for S in self.subsets[i]]
 
     def term_dim(self, i):
-        return sum(self.module.dim(self.subset_degree(S)) for S in self.subsets[i])
+        return sum(self.sizes(i))
 
     def differential(self, i) -> Matrix:
         """The map from cochain degree i to i + 1."""
         if i in self._diffs:
             return self._diffs[i]
         ring = self.module.ring
-        F = ring.field
-        src = self.layout(i)
-        tgt = self.layout(i + 1)
         tgt_index = {S: k for k, S in enumerate(self.subsets[i + 1])}
-        rows = self.term_dim(i + 1)
-        cols = []
+        blocks = {}
         for k, S in enumerate(self.subsets[i]):
-            s_off, s_deg = src[k]
-            width = self.module.dim(s_deg)
-            blocks = []
             for l in range(len(self.elements)):
                 if l in S:
                     continue
-                T = tuple(sorted(S + (l,)))
-                sign = -1 if sum(1 for x in S if x < l) % 2 else 1
                 power = ring.ppow(self.elements[l], self.levels[l])
                 if not power:
                     continue  # a nilpotent generator raised past its order
-                mm = self.module.mult_matrix(power, s_deg)
-                t_off, _ = tgt[tgt_index[T]]
-                blocks.append((t_off, sign, mm))
-            for col_local in range(width):
-                col = [F.zero()] * rows
-                for t_off, sign, mm in blocks:
-                    v = mm.column(col_local)
-                    for r, entry in enumerate(v):
-                        val = entry if sign == 1 else F.neg(entry)
-                        col[t_off + r] = F.add(col[t_off + r], val)
-                cols.append(col)
-        m = Matrix.from_columns(F, cols, rows)
+                T = tuple(sorted(S + (l,)))
+                sign = -1 if sum(1 for x in S if x < l) % 2 else 1
+                blocks[tgt_index[T], k] = (
+                    sign, self.module.mult_matrix(power, self.subset_degree(S)))
+        m = Matrix.from_blocks(ring.field, self.sizes(i + 1), self.sizes(i), blocks)
         self._diffs[i] = m
         return m
 
-    def kernel_and_image(self, i):
-        """(kernel basis at spot i, rank of the incoming map)."""
-        c = len(self.elements)
+    def cocycles(self, i):
+        """A basis of the kernel of the differential out of cochain degree i."""
         dim_i = self.term_dim(i)
         if dim_i == 0:
-            return [], 0
-        if i < c:
-            kb = self.differential(i).kernel_basis()
-        else:
-            F = self.module.ring.field
-            kb = []
-            for j in range(dim_i):
-                e = [F.zero()] * dim_i
-                e[j] = F.one()
-                kb.append(e)
-        rank_in = self.differential(i - 1).rank() if i > 0 else 0
-        return kb, rank_in
+            return []
+        if i < len(self.elements):
+            return self.differential(i).kernel_basis()
+        F = self.module.ring.field
+        kb = []
+        for j in range(dim_i):
+            e = [F.zero()] * dim_i
+            e[j] = F.one()
+            kb.append(e)
+        return kb
 
     def transition_to(self, other, i) -> Matrix:
         """Chain map slice induced by raising levels (multiply by the gaps)."""
         ring = self.module.ring
-        F = ring.field
-        src = self.layout(i)
-        tgt = other.layout(i)
-        rows = other.term_dim(i)
-        cols = []
+        blocks = {}
         for k, S in enumerate(self.subsets[i]):
-            s_off, s_deg = src[k]
-            t_off, _ = tgt[k]
-            width = self.module.dim(s_deg)
             gap = ring.pconst(1)
             for j in S:
                 delta = other.levels[j] - self.levels[j]
                 if delta:
                     gap = ring.pmul(gap, ring.ppow(self.elements[j], delta))
-            mm = self.module.mult_matrix(gap, s_deg) if gap else None
-            for col_local in range(width):
-                col = [F.zero()] * rows
-                if mm is not None:
-                    v = mm.column(col_local)
-                    for r, entry in enumerate(v):
-                        col[t_off + r] = entry
-                cols.append(col)
-        return Matrix.from_columns(F, cols, rows)
+            if gap:
+                blocks[k, k] = (1, self.module.mult_matrix(gap, self.subset_degree(S)))
+        return Matrix.from_blocks(ring.field, other.sizes(i), self.sizes(i), blocks)
 
 
 def _induced_rank(low, high, i):
     """Rank of the map on degree-i cohomology induced by the transition."""
-    kb_low, _ = low.kernel_and_image(i)
+    kb_low = low.cocycles(i)
     if not kb_low:
         return 0
     T = low.transition_to(high, i)

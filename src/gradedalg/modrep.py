@@ -9,7 +9,7 @@ idempotent lifting.
 
 from __future__ import annotations
 
-from .groups import GroupTable, GroupError
+from .groups import GroupTable
 from .linalg import Matrix, RowSpace
 
 
@@ -301,9 +301,6 @@ def projective_cover(module: GroupModule):
     if module.dim == 0:
         return GroupModule.zero(algebra), Matrix(F, [], ncols=0)
     rad_basis = module.radical_submodule()
-    rad_span = RowSpace(F, module.dim)
-    for v in rad_basis:
-        rad_span.insert(v)
     pims = principal_indecomposables(algebra)
     summands = []
     generators = []
@@ -327,14 +324,11 @@ def projective_cover(module: GroupModule):
     for s in summands[1:]:
         P = P.direct_sum(s["module"])
     cols = []
-    offset = 0
-    reg = algebra.regular_module()
     for s, gen in zip(summands, generators):
         incl = s["inclusion"]
         for j in range(s["module"].dim):
             a = incl.column(j)  # an element of kG
             cols.append(module.act_algebra(a, gen))
-        offset += s["module"].dim
     surj = Matrix.from_columns(F, cols, module.dim)
     # surjectivity, module-map property, and minimality
     if surj.rank() != module.dim:

@@ -47,6 +47,20 @@ class FreeModule:
             out.extend(comp.reduce_poly(element[j]) if element[j] else [F.zero()] * comp.dim)
         return out
 
+    def images(self, pairs, columns, n):
+        """Coordinates at codegree n of mono * columns[j] for each (j, mono).
+
+        columns[j] is a polynomial vector in the slots of this module.
+        """
+        ring = self.ring
+        return [self.coords_of([ring.mono_times_poly(mono, p) for p in columns[j]], n)
+                for j, mono in pairs]
+
+    def scalar_columns(self, poly):
+        """The columns of poly times the identity, as polynomial vectors."""
+        return [[poly if i == j else {} for i in range(self.rank)]
+                for j in range(self.rank)]
+
     def element_of(self, coords, n):
         """Inverse of coords_of: coordinates -> polynomial vector."""
         F = self.ring.field
@@ -100,35 +114,32 @@ class PolyMatrix:
         """The induced linear map source^n -> target^n in quotient coordinates."""
         if n in self._at_cache:
             return self._at_cache[n]
-        ring = self.ring
-        cols = []
-        for (j, mono) in self.source.basis(n):
-            element = [ring.mono_times_poly(mono, self.entries[i][j])
-                       for i in range(self.target.rank)]
-            cols.append(self.target.coords_of(element, n))
-        m = Matrix.from_columns(ring.field, cols, self.target.dim(n))
+        cols = self.target.images(self.source.basis(n),
+                                  [self.column(j) for j in range(self.source.rank)], n)
+        m = Matrix.from_columns(self.ring.field, cols, self.target.dim(n))
         self._at_cache[n] = m
         return m
+
+    def entries_times(self, other: "PolyMatrix"):
+        """Entries of the product self . other (other feeds into self)."""
+        ring = self.ring
+        out = []
+        for row in self.entries:
+            out_row = []
+            for j in range(other.source.rank):
+                acc = {}
+                for x, other_row in zip(row, other.entries):
+                    if x and other_row[j]:
+                        acc = ring.padd(acc, ring.pmul(x, other_row[j]))
+                out_row.append(acc)
+            out.append(out_row)
+        return out
 
     def compose(self, other: "PolyMatrix") -> "PolyMatrix":
         """self o other (other feeds into self)."""
         if other.target is not self.source and other.target.shifts != self.source.shifts:
             raise PresentationError("composition shape mismatch")
-        ring = self.ring
-        entries = []
-        for i in range(self.target.rank):
-            row = []
-            for j in range(other.source.rank):
-                acc = {}
-                for k in range(self.source.rank):
-                    acc = ring.padd(acc, ring.pmul(self.entries[i][k], other.entries[k][j]))
-                row.append(acc)
-            entries.append(row)
-        return PolyMatrix(self.target, other.source, entries)
-
-    def is_zero_poly(self):
-        """True if every entry is the zero polynomial (no ideal reduction)."""
-        return all(not e for row in self.entries for e in row)
+        return PolyMatrix(self.target, other.source, self.entries_times(other))
 
     def is_zero_on(self, degrees):
         """True if the induced map vanishes at every listed codegree."""
@@ -185,12 +196,10 @@ class GradedModule:
         ring = self.ring
         free_basis = self.free.basis(n)
         span = RowSpace(ring.field, len(free_basis))
-        for d, col in self.rel_columns:
-            if d > n:
-                continue
-            for mono in ring.monomials(n - d):
-                element = [ring.mono_times_poly(mono, p) for p in col]
-                span.insert(self.free.coords_of(element, n))
+        pairs = [(k, mono) for k, (d, _) in enumerate(self.rel_columns)
+                 for mono in ring.monomials(n - d)]
+        for v in self.free.images(pairs, [col for _, col in self.rel_columns], n):
+            span.insert(v)
         comp = ModuleComponent(self, n, free_basis, span)
         self._component_cache[n] = comp
         return comp
@@ -207,15 +216,11 @@ class GradedModule:
     def mult_matrix(self, poly, n) -> Matrix:
         """Multiplication by a homogeneous polynomial: M^n -> M^(n+|poly|)."""
         ring = self.ring
-        d = ring.poly_codegree(poly) if poly else 0
+        d = ring.poly_codegree(poly)
         src = self.component(n)
         tgt = self.component(n + d)
-        cols = []
-        for (j, mono) in src.basis:
-            element = [dict() for _ in self.gen_shifts]
-            element[j] = ring.mono_times_poly(mono, poly)
-            cols.append(tgt.reduce(self.free.coords_of(element, n + d)))
-        return Matrix.from_columns(ring.field, cols, tgt.dim)
+        cols = self.free.images(src.basis, self.free.scalar_columns(poly), n + d)
+        return Matrix.from_columns(ring.field, [tgt.reduce(v) for v in cols], tgt.dim)
 
 
 class ModuleComponent:
@@ -243,13 +248,3 @@ class ModuleComponent:
         for c, val in zip(nonpivots, coords):
             vec[c] = val
         return vec
-
-    def projection_matrix(self) -> Matrix:
-        """Free coordinates -> quotient coordinates, as a matrix."""
-        F = self.module.ring.field
-        cols = []
-        for i in range(len(self.free_basis)):
-            e = [F.zero()] * len(self.free_basis)
-            e[i] = F.one()
-            cols.append(self.reduce(e))
-        return Matrix.from_columns(F, cols, self.dim)

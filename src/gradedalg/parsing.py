@@ -206,4 +206,4 @@ def ring_with_relations(field, generators, relations):
     from .rings import GradedRing
     free = GradedRing(field, generators, [])
     parsed = [parse_homogeneous(src, free)[0] for src in relations]
-    return GradedRing(field, generators, parsed, relation_sources=list(relations))
+    return GradedRing(field, generators, parsed)

@@ -8,7 +8,7 @@ performs.  All presets are read-only module-level constants.
 
 from __future__ import annotations
 
-from .fields import PrimeField, ExtensionField, Rationals
+from .fields import FieldSpec
 from .series import DualityParams, check_cm_functional_equation, solve_almost_cm, NotAlmostCM
 from .parsing import parse_series, parse_poly, ring_with_relations
 from .rings import GradedRing
@@ -69,11 +69,7 @@ class Preset:
         self.expected_homology = expected_homology
 
     def field(self):
-        if self.char == 0:
-            return Rationals()
-        if self.field_degree == 1:
-            return PrimeField(self.char)
-        return ExtensionField(self.char, self.field_degree)
+        return FieldSpec(self.char, self.field_degree).build()
 
     def series(self):
         return parse_series(self.series_src)
@@ -207,16 +203,11 @@ def _check(report, name, ok, detail=""):
     report["checks"].append({"check": name, "pass": bool(ok), "detail": detail})
 
 
-def _dims_of(table_source, lo, hi):
-    return [table_source.dim(n) for n in range(lo, hi + 1)]
-
-
 def _run_series_checks(p: Preset, report, ring):
     series = p.series()
     if ring is not None:
         expected = [c for c in series.expand(0, SERIES_WINDOW)]
-        got = [GradedModule.ring_as_module(ring).dim(n)
-               for n in range(SERIES_WINDOW + 1)]
+        got = ring.hilbert_prefix(SERIES_WINDOW)
         _check(report, "hilbert_prefix", got == expected,
                f"presentation {got[:8]}... vs series {expected[:8]}...")
     if p.cm_equation is not None:

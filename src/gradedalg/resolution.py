@@ -65,13 +65,10 @@ class _MapToModule:
     def matrix_at(self, n) -> Matrix:
         if n in self._cache:
             return self._cache[n]
-        ring = self.module.ring
-        comp = self.module.component(n)
-        cols = []
-        for (j, mono) in self.source.basis(n):
-            element = [ring.mono_times_poly(mono, p) for p in self.columns[j]]
-            cols.append(comp.reduce(self.module.free.coords_of(element, n)))
-        m = Matrix.from_columns(ring.field, cols, comp.dim)
+        module = self.module
+        comp = module.component(n)
+        cols = module.free.images(self.source.basis(n), self.columns, n)
+        m = Matrix.from_columns(module.ring.field, [comp.reduce(v) for v in cols], comp.dim)
         self._cache[n] = m
         return m
 
@@ -100,18 +97,6 @@ class Resolution:
                 if not prod.is_zero():
                     return False
         return True
-
-
-def _free_mult_matrix(free: FreeModule, poly, n) -> Matrix:
-    """Multiplication by a homogeneous polynomial on a free module."""
-    ring = free.ring
-    d = ring.poly_codegree(poly)
-    cols = []
-    for (j, mono) in free.basis(n):
-        element = [dict() for _ in free.shifts]
-        element[j] = ring.mono_times_poly(mono, poly)
-        cols.append(free.coords_of(element, n + d))
-    return Matrix.from_columns(ring.field, cols, free.dim(n + d))
 
 
 def _minimal_generators_of_module(module: GradedModule, codegree_max):
@@ -169,7 +154,9 @@ def _kernel_generators(diff, source: FreeModule, codegree_max):
             lower = kernels.get(n - dx)
             if not lower:
                 continue
-            mm = _free_mult_matrix(source, ring.gen_poly(i), n - dx)
+            cols = source.images(source.basis(n - dx),
+                                 source.scalar_columns(ring.gen_poly(i)), n)
+            mm = Matrix.from_columns(F, cols, dim_n)
             for v in lower:
                 span.insert(mm.apply(v))
         for v in kb:
@@ -190,16 +177,12 @@ def minimal_resolution(module: GradedModule, h_max=12, codegree_max=24) -> Resol
     if not module.rel_columns:
         # already free on its listed generators: the identity resolves it
         F0 = FreeModule(ring, list(module.gen_shifts))
-        columns = []
-        for j in range(len(module.gen_shifts)):
-            vec = [dict() for _ in module.gen_shifts]
-            vec[j] = ring.pconst(1)
-            columns.append(vec)
         for d in module.gen_shifts:
             betti.add(0, d)
         betti.complete = True
         betti.length = 0
-        return Resolution(module, [F0], [], _MapToModule(module, F0, columns), betti)
+        return Resolution(module, [F0], [],
+                          _MapToModule(module, F0, F0.scalar_columns(ring.pconst(1))), betti)
     gens0 = _minimal_generators_of_module(module, codegree_max)
     if not gens0:
         betti.complete = True

@@ -13,8 +13,7 @@ basis: the codegree-n piece of the relation ideal is spanned by
 
 from __future__ import annotations
 
-
-from .linalg import Matrix, RowSpace
+from .linalg import RowSpace
 
 
 class PresentationError(ValueError):
@@ -22,7 +21,7 @@ class PresentationError(ValueError):
 
 
 class GradedRing:
-    def __init__(self, field, generators, relations=None, relation_sources=None):
+    def __init__(self, field, generators, relations=None):
         """generators: list of (name, codegree); relations: list of monomial dicts."""
         self.field = field
         self.gens = [(str(n), int(d)) for n, d in generators]
@@ -46,7 +45,6 @@ class GradedRing:
                 continue
             self.poly_codegree(rel)  # homogeneity check
             self.relations.append(rel)
-        self.relation_sources = relation_sources
 
     # -- polynomial arithmetic ----------------------------------------
     # A polynomial is a dict: exponent tuple -> nonzero scalar.
@@ -273,9 +271,6 @@ class RingComponent:
         for mono, c in p.items():
             vec[self.index[mono]] = c
         return self._span.quotient_coords(vec)
-
-    def basis_poly(self, i):
-        return {self.basis[i]: self.ring.field.one()}
 
 
 def polynomial_ring(field, names_degrees):

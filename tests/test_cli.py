@@ -122,3 +122,33 @@ def test_shift_ledger_passes(capsys):
     assert run_cli(["shift-ledger", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["violations"] == []
+
+
+RING_KXY = {"char": 2, "vars": [{"name": "x", "codegree": 1},
+                                {"name": "y", "codegree": 1}], "relations": []}
+
+
+def test_module_file_uses_the_documented_keys(ring_file, capsys):
+    # k = k[x,y]/(x, y) has the Koszul resolution 1, 2, 1
+    module = ring_file({"ring": RING_KXY, "gen_shifts": [0],
+                        "rel_columns": [["x"], ["y"]]}, "module.json")
+    assert run_cli(["resolution", ring_file(RING_KXY), "--module", module,
+                    "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["betti"] == [1, 2, 1]
+
+
+@pytest.mark.parametrize("data", [
+    {"ring": RING_KXY, "gens": [0], "rels": [["x"]]},
+    {"ring": dict(RING_KXY, relation=["x^2"])},
+    {"ring": {"char": 2, "vars": [{"name": "x", "codegree": 1, "degree": 1}]}},
+], ids=["module", "ring", "variable"])
+def test_unknown_keys_are_a_usage_error(ring_file, capsys, data):
+    module = ring_file(data, "module.json")
+    assert run_cli(["resolution", ring_file(RING_KXY), "--module", module]) == 2
+    assert "unknown" in capsys.readouterr().err
+
+
+def test_extension_degree_over_the_rationals_is_a_usage_error(ring_file, capsys):
+    ring = {"char": 0, "field_degree": 2, "vars": [{"name": "x", "codegree": 1}]}
+    assert run_cli(["hilbert", ring_file(ring), "--nmax", "2"]) == 2
+    assert "characteristic 0" in capsys.readouterr().err

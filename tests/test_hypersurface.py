@@ -1,11 +1,11 @@
 import pytest
 
 from gradedalg.fields import PrimeField
-from gradedalg.hypersurface import (HypersurfaceData, HypersurfaceError,
+from gradedalg.hypersurface import (HypersurfaceData, HypersurfaceError, MatrixFactorization,
                                     splice_periodic_resolution,
                                     matrix_factorization_from_resolution,
                                     gulliksen_periodicity_check)
-from gradedalg.modules import GradedModule
+from gradedalg.modules import GradedModule, PolyMatrix
 from gradedalg.parsing import parse_poly, ring_with_relations
 from gradedalg.resolution import ext_growth_class, GrowthClass
 
@@ -30,6 +30,15 @@ def test_splice_gives_two_periodic_betti():
     k = GradedModule.residue_field(h.base)
     terms, diffs, betti = splice_periodic_resolution(h, k, h_max=8)
     assert betti == [1] * 9
+
+
+def test_splice_of_a_module_of_projective_dimension_two():
+    # k over k[x,y]/(x^2): Poincare series (1+t)^2/(1-t^2) = 1 + 2t + 2t^2 + ...
+    base = ring_with_relations(F2, [("x", 1), ("y", 1)], [])
+    h = HypersurfaceData(base, parse_poly("x^2", base))
+    k = GradedModule.residue_field(base)
+    terms, diffs, betti = splice_periodic_resolution(h, k, h_max=5)
+    assert betti == [1, 2, 2, 2, 2, 2]
 
 
 def test_splice_of_a_shifted_module():
@@ -68,6 +77,21 @@ def test_matrix_factorization_of_a_sum_of_squares():
     mf = matrix_factorization_from_resolution(h, m)
     assert mf.size == 2
     assert mf.verify()
+
+
+def test_perturbed_matrix_factorization_fails_verification():
+    base = ring_with_relations(F5, [("x", 2), ("y", 2)], [])
+    h = HypersurfaceData(base, parse_poly("x^2+y^2", base))
+    m = GradedModule(base, [0, 0],
+                     [[parse_poly("x", base), parse_poly("4*y", base)],
+                      [parse_poly("y", base), parse_poly("x", base)]])
+    mf = matrix_factorization_from_resolution(h, m)
+    entries = [list(row) for row in mf.B.entries]
+    r, c = next((r, c) for r, row in enumerate(entries) for c, e in enumerate(row) if e)
+    entries[r][c] = base.pscale(2, entries[r][c])
+    B = PolyMatrix(mf.B.target, mf.B.source, entries)
+    assert mf.verify()
+    assert not MatrixFactorization(h, mf.A, B).verify()
 
 
 def test_mf_requires_projective_dimension_one():

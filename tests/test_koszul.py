@@ -2,6 +2,7 @@ from hypothesis import given, settings, strategies as st
 
 from gradedalg.fields import PrimeField, Rationals
 from gradedalg.koszul import KoszulComplex, koszul_homology, is_regular_sequence
+from gradedalg.localcoh import _KoszulCochainSlice
 from gradedalg.modules import GradedModule
 from gradedalg.parsing import parse_poly, ring_with_relations
 
@@ -53,6 +54,7 @@ _recipes = st.sampled_from([
     (F2, [("x", 1), ("y", 1)], ["x*y"]),
     (F2, [("x", 1), ("y", 2)], ["x^2"]),
     (Rationals(), [("u", 2), ("v", 2)], ["u^2"]),
+    (PrimeField(3), [("x", 2), ("y", 2)], []),
 ])
 
 
@@ -66,10 +68,33 @@ def _complexes(draw):
         i = draw(st.integers(0, ring.ngens - 1))
         e = draw(st.integers(1, 2))
         elements.append(ring.ppow(ring.gen_poly(i), e))
-    return KoszulComplex(ring, elements)
+    module = None
+    if draw(st.booleans()):
+        # a shifted cyclic module killed by a power of one generator
+        i = draw(st.integers(0, ring.ngens - 1))
+        module = GradedModule(ring, [draw(st.integers(-1, 1))],
+                              [[ring.ppow(ring.gen_poly(i), draw(st.integers(1, 3)))]])
+    return KoszulComplex(ring, elements, module)
 
 
 @settings(max_examples=200, deadline=None)
 @given(_complexes())
 def test_random_koszul_differentials_square_to_zero(K):
     assert K.check_complex(range(0, 7))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_complexes(), st.data())
+def test_random_cech_slices_are_complexes_and_transitions_are_chain_maps(K, data):
+    levels = st.lists(st.integers(1, 2), min_size=K.c, max_size=K.c)
+    low = data.draw(levels)
+    high = [a + b for a, b in zip(low, data.draw(levels))]
+    n = data.draw(st.integers(-2, 2))
+    lo, hi = (_KoszulCochainSlice(K.module, K.elements, K.codegrees, s, n)
+              for s in (low, high))
+    for s in (lo, hi):
+        for i in range(K.c - 1):
+            assert s.differential(i + 1).mul(s.differential(i)).is_zero()
+    for i in range(K.c):
+        assert (lo.transition_to(hi, i + 1).mul(lo.differential(i))
+                == hi.differential(i).mul(lo.transition_to(hi, i)))
