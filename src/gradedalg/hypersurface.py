@@ -148,7 +148,9 @@ def splice_periodic_resolution(h: HypersurfaceData, module, h_max=12,
     and exact in positive homological degrees on the window.
     """
     _check_kills_module(h, module)
-    res = minimal_resolution(module, h_max=max(h_max, 2), codegree_max=codegree_max)
+    # Hilbert's syzygy theorem: ngens + 1 stages resolve M over S, whatever h_max is
+    res = minimal_resolution(module, h_max=max(h_max, module.ring.ngens + 1),
+                             codegree_max=codegree_max)
     if not res.betti.complete:
         raise HypersurfaceError("module has no finite resolution inside the window")
     hs = HomotopySystem(h, res)

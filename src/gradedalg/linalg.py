@@ -1,11 +1,15 @@
-"""Exact dense linear algebra over any of the workbench fields.
+"""Exact linear algebra over any of the workbench fields.
 
-Gaussian elimination throughout; ranks, kernel bases, image bases and
-solves all come from one row reduction.  Matrices are immutable after
-construction.
+RowSpace is the one elimination kernel: ring and module components,
+resolution kernels, Cech ranks and Matrix's rref, rank, kernel_basis,
+image_basis and solve all reduce through it.  Its rows are sparse, so a
+Macaulay row m * f costs its |f| terms, not the width of the matrix.
+Matrices are dense and immutable after construction.
 """
 
 from __future__ import annotations
+
+from heapq import heapify, heappop, heappush
 
 from .fields import FieldError
 
@@ -33,20 +37,27 @@ class Matrix:
     # -- constructors -------------------------------------------------
 
     @classmethod
+    def _of(cls, field, rows, ncols):
+        """A matrix of rows built here from field elements: nothing to validate."""
+        m = cls.__new__(cls)
+        m.field, m.rows, m.nrows, m.ncols, m._rref = field, rows, len(rows), ncols, None
+        return m
+
+    @classmethod
     def zero(cls, field, nrows, ncols):
         z = field.zero()
-        return cls(field, [[z] * ncols for _ in range(nrows)], ncols)
+        return cls._of(field, [[z] * ncols for _ in range(nrows)], ncols)
 
     @classmethod
     def identity(cls, field, n):
         z, o = field.zero(), field.one()
-        return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)], n)
+        return cls._of(field, [[o if i == j else z for j in range(n)] for i in range(n)], n)
 
     @classmethod
     def from_columns(cls, field, cols, nrows):
         if not cols:
             return cls.zero(field, nrows, 0)
-        return cls(field, [[c[i] for c in cols] for i in range(nrows)], len(cols))
+        return cls._of(field, [[c[i] for c in cols] for i in range(nrows)], len(cols))
 
     @classmethod
     def from_blocks(cls, field, row_sizes, col_sizes, blocks):
@@ -66,7 +77,7 @@ class Matrix:
             for r, src in enumerate(m.rows):
                 rows[row_off[i] + r][c:c + m.ncols] = (
                     src if sign == 1 else [field.neg(x) for x in src])
-        return cls(field, rows, ncols)
+        return cls._of(field, rows, ncols)
 
     # -- basics -------------------------------------------------------
 
@@ -74,8 +85,8 @@ class Matrix:
         return [r[j] for r in self.rows]
 
     def transpose(self):
-        return Matrix(self.field, [[self.rows[i][j] for i in range(self.nrows)]
-                                   for j in range(self.ncols)], self.nrows)
+        return Matrix._of(self.field, [[self.rows[i][j] for i in range(self.nrows)]
+                                       for j in range(self.ncols)], self.nrows)
 
     def mul(self, other):
         if not isinstance(other, Matrix) or other.field != self.field:
@@ -96,7 +107,7 @@ class Matrix:
                         acc = F.add(acc, F.mul(a, other.rows[k][j]))
                 row.append(acc)
             out.append(row)
-        return Matrix(F, out, other.ncols)
+        return Matrix._of(F, out, other.ncols)
 
     def apply(self, vec):
         """Matrix times column vector (a list)."""
@@ -128,34 +139,11 @@ class Matrix:
 
     def rref(self):
         """Reduced row echelon form: (rows, pivot column list)."""
-        if self._rref is not None:
-            return self._rref
-        F = self.field
-        z = F.zero()
-        rows = [list(r) for r in self.rows]
-        pivots = []
-        r = 0
-        for c in range(self.ncols):
-            pivot = None
-            for i in range(r, len(rows)):
-                if rows[i][c] != z:
-                    pivot = i
-                    break
-            if pivot is None:
-                continue
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-            inv = F.inv(rows[r][c])
-            if inv != F.one():
-                rows[r] = [F.mul(inv, x) for x in rows[r]]
-            for i in range(len(rows)):
-                if i != r and rows[i][c] != z:
-                    f = rows[i][c]
-                    rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[i], rows[r])]
-            pivots.append(c)
-            r += 1
-            if r == len(rows):
-                break
-        self._rref = (rows[:r], pivots)
+        if self._rref is None:
+            space = RowSpace(self.field, self.ncols)
+            for row in self.rows:
+                space.insert(row)
+            self._rref = space._rref()
         return self._rref
 
     def rank(self):
@@ -184,10 +172,11 @@ class Matrix:
 
     def solve(self, b):
         """One solution x of Ax = b, or None if inconsistent."""
+        if len(b) != self.nrows:
+            raise ValueError("vector length mismatch")
         F = self.field
         z = F.zero()
-        aug = Matrix(F, [row + [bv] for row, bv in zip(self.rows, b)] if self.nrows
-                     else [], self.ncols + 1)
+        aug = Matrix._of(F, [row + [bv] for row, bv in zip(self.rows, b)], self.ncols + 1)
         rows, pivots = aug.rref()
         if self.ncols in pivots:
             return None
@@ -198,68 +187,105 @@ class Matrix:
 
 
 class RowSpace:
-    """Incrementally built row space with reduction against its RREF.
+    """Incrementally built row space with reduction against its rows.
 
     Used for spanning-set elimination: insert vectors, query membership,
     and extract quotient coordinates relative to the non-pivot columns.
+    Vectors are dense lists or {column: value} dicts.
+
+    Rows are kept in echelon form: each is reduced against the rows there
+    when it arrives, and its pivot is its least nonzero column.  So the
+    pivots are those of the reduced row echelon form, and a reduction,
+    which clears every pivot column, is the same as against that form.
     """
 
     def __init__(self, field, ncols):
         self.field = field
         self.ncols = ncols
-        self.rows = []     # rref rows
-        self.pivots = []   # pivot column per row
+        self._rows = {}          # pivot column -> {column > pivot: value}
+        self._nonpivots = None   # cached; insert clears it
+
+    def _reduced(self, vec):
+        """vec as a {column: value} dict, reduced until no pivot column is left."""
+        F = self.field
+        add, mul, neg, z = F.add, F.mul, F.neg, F.zero()
+        rows = self._rows
+        v = {c: x for c, x in (vec.items() if isinstance(vec, dict) else enumerate(vec))
+             if x != z}
+        # A row touches only columns right of its pivot, so clearing pivot
+        # columns in increasing order never refills one already cleared.
+        heap = [c for c in v if c in rows]
+        heapify(heap)
+        while heap:
+            p = heappop(heap)
+            coef = v.pop(p, None)
+            if coef is None:
+                continue
+            coef = neg(coef)
+            for c, x in rows[p].items():
+                old = v.get(c)
+                if old is None:
+                    v[c] = mul(coef, x)
+                    if c in rows:
+                        heappush(heap, c)
+                else:
+                    y = add(old, mul(coef, x))
+                    if y == z:
+                        del v[c]
+                    else:
+                        v[c] = y
+        return v
 
     def reduce(self, vec):
         """Reduce `vec` against the current rows (returns a new list)."""
-        F = self.field
-        z = F.zero()
-        v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if c != z:
-                v = [F.sub(x, F.mul(c, y)) for x, y in zip(v, row)]
-        return v
+        v = self._reduced(vec)
+        z = self.field.zero()
+        return [v.get(c, z) for c in range(self.ncols)]
 
     def insert(self, vec):
         """Insert a vector; returns True if it enlarged the space."""
-        F = self.field
-        z = F.zero()
-        v = self.reduce(vec)
-        p = next((i for i, x in enumerate(v) if x != z), None)
-        if p is None:
+        v = self._reduced(vec)
+        if not v:
             return False
-        inv = F.inv(v[p])
+        F = self.field
+        p = min(v)
+        inv = F.inv(v.pop(p))
         if inv != F.one():
-            v = [F.mul(inv, x) for x in v]
-        # keep full reduction: clear column p in existing rows
-        for i, row in enumerate(self.rows):
-            c = row[p]
-            if c != z:
-                self.rows[i] = [F.sub(x, F.mul(c, y)) for x, y in zip(row, v)]
-        idx = 0
-        while idx < len(self.pivots) and self.pivots[idx] < p:
-            idx += 1
-        self.rows.insert(idx, v)
-        self.pivots.insert(idx, p)
+            v = {c: F.mul(inv, x) for c, x in v.items()}
+        self._rows[p] = v
+        self._nonpivots = None
         return True
 
     def contains(self, vec):
-        z = self.field.zero()
-        return all(x == z for x in self.reduce(vec))
+        return not self._reduced(vec)
 
     @property
     def dim(self):
-        return len(self.rows)
+        return len(self._rows)
 
     def nonpivot_columns(self):
-        ps = set(self.pivots)
-        return [c for c in range(self.ncols) if c not in ps]
+        if self._nonpivots is None:
+            self._nonpivots = [c for c in range(self.ncols) if c not in self._rows]
+        return self._nonpivots
 
     def quotient_coords(self, vec):
         """Coordinates of `vec` in the quotient by this space.
 
         The quotient basis is the set of non-pivot coordinate vectors.
         """
-        v = self.reduce(vec)
-        return [v[c] for c in self.nonpivot_columns()]
+        v = self._reduced(vec)
+        z = self.field.zero()
+        return [v.get(c, z) for c in self.nonpivot_columns()]
+
+    def _rref(self):
+        """Back-substitute into reduced row echelon form: (dense rows, pivots).
+
+        Rows are reduced from the last pivot to the first, so each one
+        meets only rows already fully reduced.
+        """
+        z, o = self.field.zero(), self.field.one()
+        pivots = sorted(self._rows)
+        for p in reversed(pivots):
+            self._rows[p] = self._reduced(self._rows[p])
+        return [[o if c == p else self._rows[p].get(c, z) for c in range(self.ncols)]
+                for p in pivots], pivots

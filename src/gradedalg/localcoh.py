@@ -110,13 +110,7 @@ class _KoszulCochainSlice:
             return []
         if i < len(self.elements):
             return self.differential(i).kernel_basis()
-        F = self.module.ring.field
-        kb = []
-        for j in range(dim_i):
-            e = [F.zero()] * dim_i
-            e[j] = F.one()
-            kb.append(e)
-        return kb
+        return Matrix.identity(self.module.ring.field, dim_i).rows
 
     def transition_to(self, other, i) -> Matrix:
         """Chain map slice induced by raising levels (multiply by the gaps)."""

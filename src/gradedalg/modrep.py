@@ -249,14 +249,9 @@ class GroupModule:
 
     def radical_submodule(self):
         rad = self.algebra.radical_basis()
-        vecs = []
-        F = self.field
-        for r in rad:
-            for j in range(self.dim):
-                e = [F.zero()] * self.dim
-                e[j] = F.one()
-                vecs.append(self.act_algebra(r, e))
-        span = RowSpace(F, self.dim)
+        units = Matrix.identity(self.field, self.dim).rows
+        vecs = [self.act_algebra(r, e) for r in rad for e in units]
+        span = RowSpace(self.field, self.dim)
         basis = [v for v in vecs if span.insert(v)]
         return basis
 
@@ -265,12 +260,8 @@ class GroupModule:
         mats = []
         for g in range(self.algebra.n):
             a, b = self.mats[g], other.mats[g]
-            rows = []
-            for i in range(a.nrows):
-                rows.append(list(a.rows[i]) + [F.zero()] * b.ncols)
-            for i in range(b.nrows):
-                rows.append([F.zero()] * a.ncols + list(b.rows[i]))
-            mats.append(Matrix(F, rows, ncols=a.ncols + b.ncols))
+            mats.append(Matrix.from_blocks(F, [a.nrows, b.nrows], [a.ncols, b.ncols],
+                                           {(0, 0): (1, a), (1, 1): (1, b)}))
         return GroupModule(self.algebra, mats, check=False)
 
 
@@ -311,9 +302,7 @@ def projective_cover(module: GroupModule):
         e = pim["idempotent"]
         # head vectors lying in the chi-isotypic part: images of the lifted
         # idempotent, taken modulo the radical
-        for j in range(module.dim):
-            unit = [F.zero()] * module.dim
-            unit[j] = F.one()
+        for unit in Matrix.identity(F, module.dim).rows:
             w = module.act_algebra(e, unit)
             if covered.insert(w):
                 summands.append(pim)
@@ -364,12 +353,7 @@ def k_coradical_tower(module: GroupModule, ambient_basis=None):
         span = RowSpace(F, module.dim)
         return [w for w in vecs if span.insert(w)]
 
-    unit_basis = []
-    for j in range(module.dim):
-        e = [F.zero()] * module.dim
-        e[j] = F.one()
-        unit_basis.append(e)
-    current = u_of(unit_basis)
+    current = u_of(Matrix.identity(F, module.dim).rows)
     while len(current) < dim_prev:
         dim_prev = len(current)
         nxt = u_of(current)

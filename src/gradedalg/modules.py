@@ -40,11 +40,9 @@ class FreeModule:
 
     def coords_of(self, element, n):
         """Coordinates at codegree n of a polynomial vector (one poly per slot)."""
-        F = self.ring.field
         out = []
         for j, s in enumerate(self.shifts):
-            comp = self.ring.component(n - s)
-            out.extend(comp.reduce_poly(element[j]) if element[j] else [F.zero()] * comp.dim)
+            out.extend(self.ring.component(n - s).reduce_poly(element[j]))
         return out
 
     def images(self, pairs, columns, n):

@@ -116,13 +116,9 @@ def _minimal_generators_of_module(module: GradedModule, codegree_max):
             mm = module.mult_matrix(ring.gen_poly(i), n - dx)
             for j in range(mm.ncols):
                 span.insert(mm.column(j))
-        F = ring.field
-        for i in range(comp.dim):
-            e = [F.zero()] * comp.dim
-            e[i] = F.one()
+        for e in Matrix.identity(ring.field, comp.dim).rows:
             if span.insert(e):
-                free_vec = comp.lift(e)
-                gens.append((n, module.free.element_of(free_vec, n)))
+                gens.append((n, module.free.element_of(comp.lift(e), n)))
     return gens
 
 

@@ -217,19 +217,14 @@ class GradedRing:
         monos = self.monomials(n)
         index = {m: i for i, m in enumerate(monos)}
         span = RowSpace(self.field, len(monos))
-        z = self.field.zero()
         for rel in self.relations:
             d = self.mono_codegree(next(iter(rel)))
             if d > n:
                 continue
             for m in self.monomials(n - d):
                 prod = self.mono_times_poly(m, rel)
-                if not prod:
-                    continue
-                vec = [z] * len(monos)
-                for mono, c in prod.items():
-                    vec[index[mono]] = c
-                span.insert(vec)
+                if prod:
+                    span.insert({index[mono]: c for mono, c in prod.items()})
         comp = RingComponent(self, n, monos, index, span)
         self._component_cache[n] = comp
         return comp
@@ -266,11 +261,7 @@ class RingComponent:
 
     def reduce_poly(self, p):
         """Coordinates of a codegree-n polynomial in the quotient basis."""
-        z = self.ring.field.zero()
-        vec = [z] * len(self.monomials_all)
-        for mono, c in p.items():
-            vec[self.index[mono]] = c
-        return self._span.quotient_coords(vec)
+        return self._span.quotient_coords({self.index[mono]: c for mono, c in p.items()})
 
 
 def polynomial_ring(field, names_degrees):

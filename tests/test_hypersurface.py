@@ -41,6 +41,16 @@ def test_splice_of_a_module_of_projective_dimension_two():
     assert betti == [1, 2, 2, 2, 2, 2]
 
 
+def test_splice_resolves_over_the_ambient_ring_past_h_max():
+    # k over k[x,y,z] has projective dimension 3, more than h_max; the
+    # R-resolution over k[x,y,z]/(x^2+yz) is (1+t)^3/(1-t^2) = 1, 3, 4, 4, ...
+    base = ring_with_relations(F2, [("x", 1), ("y", 1), ("z", 1)], [])
+    h = HypersurfaceData(base, parse_poly("x^2+y*z", base))
+    k = GradedModule.residue_field(base)
+    terms, diffs, betti = splice_periodic_resolution(h, k, h_max=3, codegree_max=8)
+    assert betti == [1, 3, 4, 4]
+
+
 def test_splice_of_a_shifted_module():
     base = ring_with_relations(F2, [("x", 1), ("y", 1)], [])
     h = HypersurfaceData(base, parse_poly("x^2", base))

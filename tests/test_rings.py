@@ -4,6 +4,7 @@ import pytest
 
 from gradedalg.fields import PrimeField, Rationals
 from gradedalg.parsing import ring_with_relations
+from gradedalg.presets import get_preset
 from gradedalg.rings import GradedRing, PresentationError, polynomial_ring
 
 
@@ -76,3 +77,10 @@ def test_quotient_with_extra_relations_drops_dimension():
 def test_hilbert_prefix_matches_dims():
     ring = ring_with_relations(PrimeField(2), [("x", 1), ("y", 1)], ["x*y"])
     assert ring.hilbert_prefix(6) == [ring.dim(n) for n in range(7)]
+
+
+def test_sd16_hilbert_prefix_at_macaulay_scale():
+    # codegree 44 has 1580 monomials: a Macaulay matrix the size the
+    # benchmark reduces
+    preset = get_preset("sd16")
+    assert preset.build_ring().hilbert_prefix(44) == preset.series().expand(0, 44)
