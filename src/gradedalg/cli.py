@@ -115,12 +115,16 @@ def _parse_ideal(text, ring):
 
 
 def _table_report(table):
-    rows = {}
+    """The nonzero cells as JSON rows and as text lines; an uncertified
+    cell prints as n:dim?."""
+    rows, lines = {}, []
     for i in range(table.top + 1):
         nz = [(n, table.dim(i, n)) for n in table.degrees if table.dim(i, n)]
         if nz:
             rows[f"H^{i}"] = nz
-    return rows
+            lines.append(f"  H^{i}: " + " ".join(
+                f"{n}:{v}" + ("" if table.certified[(i, n)] else "?") for n, v in nz))
+    return rows, lines
 
 
 # -- subcommand handlers ------------------------------------------------
@@ -179,19 +183,23 @@ def _cmd_localcoh(args):
     if args.method in ("duality", "both"):
         tables["duality"] = duality_table(module, window)
     for name, table in tables.items():
-        rows = _table_report(table)
-        report[name] = rows
-        report["lines"].append(f"[{name}]")
-        for label, cells in rows.items():
-            report["lines"].append(f"  {label}: " +
-                                   " ".join(f"{n}:{v}" for n, v in cells))
+        report[name], lines = _table_report(table)
+        report["lines"] += [f"[{name}]"] + lines
+    # cells whose rank never held still over the window, zero ones included
+    uncertified = sorted({cell for table in tables.values()
+                          for cell, ok in table.certified.items() if not ok})
+    report["uncertified"] = [list(cell) for cell in uncertified]
+    if uncertified:
+        report["lines"].append("uncertified (i,n), marked ?: " +
+                               " ".join(f"({i},{n})" for i, n in uncertified))
+        failed = True
     if len(tables) == 2:
         ca, du = tables["cech"], tables["duality"]
         agree = all(ca.dim(i, n) == du.dim(i, n)
                     for n in window for i in range(max(ca.top, du.top) + 1))
         report["methods_agree"] = agree
         report["lines"].append(f"methods agree: {'pass' if agree else 'fail'}")
-        failed = not agree
+        failed = failed or not agree
     return report, failed
 
 

@@ -1,10 +1,12 @@
 """Exact field arithmetic over QQ, GF(p) and small extensions GF(p^k).
 
 Every field object exposes the same small protocol (zero, one, add, sub,
-mul, neg, inv, from_int, validate).  Elements are plain hashable Python
-values: Fraction for the rationals, int in [0, p) for prime fields, and a
-tuple of ints (coefficients of the residue polynomial, low degree first)
-for extensions.  No floating point anywhere.
+mul, neg, inv, from_int, validate, format).  Elements are Fraction for the
+rationals and plain ints for every finite field: [0, p) for GF(p) and
+[0, p^k) for GF(p^k), whose int a stands for the residue polynomial with
+the base-p digits of a as coefficients.  Tuples of those coefficients
+appear only at the boundary: `format` prints them and `validate` accepts
+them.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -135,177 +137,120 @@ class PrimeField:
         return self.name
 
 
-# Built-in irreducible polynomials (coefficients low-to-high, monic),
-# enough for the extensions the examples need (k <= 4).
-_DEFAULT_MIN_POLY = {
+# The modulus of each built-in GF(p^k): a monic irreducible polynomial of
+# degree k over GF(p), coefficients low-to-high.
+_MODULI = {
     (2, 2): (1, 1, 1),            # u^2 + u + 1
     (2, 3): (1, 1, 0, 1),         # u^3 + u + 1
     (2, 4): (1, 1, 0, 0, 1),      # u^4 + u + 1
     (3, 2): (1, 0, 1),            # u^2 + 1
     (3, 3): (1, 2, 0, 1),         # u^3 + 2u + 1
     (5, 2): (2, 0, 1),            # u^2 + 2
-    (5, 3): (2, 1, 0, 1),
-    (7, 2): (1, 0, 1),
+    (5, 3): (1, 1, 0, 1),         # u^3 + u + 1
+    (7, 2): (1, 0, 1),            # u^2 + 1
 }
 
 
-def _poly_mod_mul(a, b, mod, p):
-    """Multiply residue polynomials (tuples) modulo `mod` over GF(p)."""
-    k = len(mod) - 1
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    # reduce by the monic modulus
-    for i in range(len(prod) - 1, k - 1, -1):
-        c = prod[i]
-        if c:
-            prod[i] = 0
-            for j in range(k):
-                prod[i - k + j] = (prod[i - k + j] - c * mod[j]) % p
-    out = prod[:k]
-    out += [0] * (k - len(out))
-    return tuple(out)
-
-
-def _is_irreducible(coeffs, p):
-    """Brute-force irreducibility over GF(p) for degree <= 4."""
-    deg = len(coeffs) - 1
-    if deg < 1 or coeffs[-1] % p == 0:
-        return False
-    if deg == 1:
-        return True
-    for r in range(p):
-        v = 0
-        for c in reversed(coeffs):
-            v = (v * r + c) % p
-        if v == 0:
-            return False
-    if deg <= 3:
-        return True
-    # degree 4: also rule out irreducible quadratic factors
-    for b in range(p):
-        for c in range(p):
-            quad = (c, b, 1)
-            if not _is_irreducible(quad, p):
-                continue
-            if _poly_divides(quad, coeffs, p):
-                return False
-    return True
-
-
-def _poly_divides(d, f, p):
-    f = [c % p for c in f]
-    dd = len(d) - 1
-    inv_lead = pow(d[-1], p - 2, p)
-    for i in range(len(f) - 1, dd - 1, -1):
-        c = f[i]
-        if c:
-            q = c * inv_lead % p
-            for j in range(dd + 1):
-                f[i - dd + j] = (f[i - dd + j] - q * d[j]) % p
-    return all(c == 0 for c in f)
-
-
 class ExtensionField:
-    """GF(p^k) as residues modulo an irreducible polynomial.
+    """GF(p^k) for a built-in (p, k), k >= 2, with int elements in [0, p^k).
 
-    Elements are k-tuples of ints (coefficients, constant term first).
+    The int a stands for the residue polynomial whose coefficients are the
+    base-p digits of a, constant term first: 0..p-1 is the prime field and
+    p is the class of u, a root of the modulus.  add, sub, neg, mul and inv
+    are lookups in tables built once; building them certifies the field,
+    since every nonzero element must have an inverse.
     """
 
-    def __init__(self, p: int, k: int, min_poly=None):
-        if not is_prime(p):
-            raise FieldError(f"{p} is not prime")
-        if k < 1 or k > 4:
-            raise FieldError("extension degree must be in 1..4")
-        if min_poly is None:
-            if k == 1:
-                min_poly = (0, 1)
-            else:
-                try:
-                    min_poly = _DEFAULT_MIN_POLY[(p, k)]
-                except KeyError:
-                    raise FieldError(f"no built-in minimal polynomial for GF({p}^{k})")
-        min_poly = tuple(c % p for c in min_poly)
-        if len(min_poly) != k + 1:
-            raise FieldError("minimal polynomial degree must equal the extension degree")
-        if min_poly[-1] != 1:
-            raise FieldError("minimal polynomial must be monic")
-        if not _is_irreducible(min_poly, p):
-            raise FieldError(f"minimal polynomial {min_poly} is reducible over GF({p})")
+    def __init__(self, p: int, k: int):
+        try:
+            modulus = _MODULI[(p, k)]
+        except KeyError:
+            raise FieldError(f"no built-in GF({p}^{k}); built in: " +
+                             ", ".join(f"GF({a}^{b})" for a, b in _MODULI))
         self.p = p
         self.k = k
-        self.min_poly = min_poly
+        self.q = q = p ** k
+        self.modulus = modulus
         self.char = p
         self.name = f"GF({p}^{k})"
+        self._digits = digits = [tuple(a // p ** i % p for i in range(k)) for a in range(q)]
+        enc = self._encode
+        self._add = [[enc(x + y for x, y in zip(da, db)) for db in digits] for da in digits]
+        self._neg = [enc(-x for x in da) for da in digits]
+        self._sub = [[row[b] for b in self._neg] for row in self._add]
+        self._mul = []
+        for da in digits:
+            # a*u^i for i < k: shift up, and replace u^k by minus the lower terms
+            shifts = [da]
+            for _ in range(k - 1):
+                s = shifts[-1]
+                shifts.append(tuple(lo - s[-1] * m for lo, m in zip((0,) + s[:-1], modulus)))
+            self._mul.append([enc(sum(c * s[j] for c, s in zip(db, shifts)) for j in range(k))
+                              for db in digits])
+        self._inv = [0] * q
+        for a in range(1, q):
+            try:
+                self._inv[a] = self._mul[a].index(1)
+            except ValueError:
+                raise FieldError(f"{self.format(a)} has no inverse: "
+                                 f"the modulus {modulus} is reducible over GF({p})")
+
+    def _encode(self, coeffs):
+        """The element with these residue-polynomial coefficients (taken mod p)."""
+        p = self.p
+        return sum(c % p * p ** i for i, c in enumerate(coeffs))
 
     def zero(self):
-        return (0,) * self.k
+        return 0
 
     def one(self):
-        return (1,) + (0,) * (self.k - 1)
+        return 1
 
     def generator(self):
-        """The residue class of the variable (a root of the minimal polynomial)."""
-        if self.k == 1:
-            return self.from_int(1)
-        return (0, 1) + (0,) * (self.k - 2)
+        """The class of u, a root of the modulus."""
+        return self.p
 
     def from_int(self, n):
-        return (n % self.p,) + (0,) * (self.k - 1)
+        return n % self.p
 
     def add(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
+        return self._add[a][b]
 
     def sub(self, a, b):
-        return tuple((x - y) % self.p for x, y in zip(a, b))
+        return self._sub[a][b]
 
     def neg(self, a):
-        return tuple((-x) % self.p for x in a)
+        return self._neg[a]
 
     def mul(self, a, b):
-        return _poly_mod_mul(a, b, self.min_poly, self.p)
+        return self._mul[a][b]
 
     def inv(self, a):
-        if all(c == 0 for c in a):
+        if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        # a^(q-2) with q = p^k
-        q = self.p ** self.k
-        result = self.one()
-        base = a
-        e = q - 2
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        return self._inv[a]
 
     def validate(self, a):
-        if isinstance(a, int):
-            return self.from_int(a)
-        if not (isinstance(a, tuple) and len(a) == self.k):
-            raise FieldError(f"not a {self.name} scalar: {a!r}")
-        return tuple(c % self.p for c in a)
+        """An int in [0, q), or a k-tuple of residue-polynomial coefficients."""
+        if isinstance(a, int) and 0 <= a < self.q:
+            return a
+        if isinstance(a, tuple) and len(a) == self.k and all(isinstance(c, int) for c in a):
+            return self._encode(a)
+        raise FieldError(f"not a {self.name} scalar: {a!r}")
 
     def format(self, a):
-        if all(c == 0 for c in a[1:]):
-            return str(a[0])
-        return "(" + ",".join(str(c) for c in a) + ")"
+        if a < self.p:
+            return str(a)
+        return "(" + ",".join(str(c) for c in self._digits[a]) + ")"
 
     def elements(self):
-        out = [()]
-        for _ in range(self.k):
-            out = [e + (c,) for e in out for c in range(self.p)]
-        return out
+        return list(range(self.q))
 
     def __eq__(self, other):
-        return (isinstance(other, ExtensionField) and other.p == self.p
-                and other.k == self.k and other.min_poly == self.min_poly)
+        return isinstance(other, ExtensionField) and (other.p, other.k) == (self.p, self.k)
 
     def __hash__(self):
-        return hash(("GFq", self.p, self.k, self.min_poly))
+        return hash(("GFq", self.p, self.k))
 
     def __repr__(self):
         return self.name
@@ -314,7 +259,7 @@ class ExtensionField:
 class FieldSpec:
     """Declarative field description: QQ, GF(p) or GF(p^k)."""
 
-    def __init__(self, char: int = 0, degree: int = 1, min_poly=None):
+    def __init__(self, char: int = 0, degree: int = 1):
         if char == 0:
             if degree != 1:
                 raise FieldError("characteristic 0 admits no extension degree")
@@ -322,14 +267,13 @@ class FieldSpec:
             raise FieldError(f"characteristic {char} is not prime")
         self.char = char
         self.degree = degree
-        self.min_poly = tuple(min_poly) if min_poly is not None else None
 
     def build(self):
         if self.char == 0:
             return Rationals()
-        if self.degree == 1 and self.min_poly is None:
+        if self.degree == 1:
             return PrimeField(self.char)
-        return ExtensionField(self.char, self.degree, self.min_poly)
+        return ExtensionField(self.char, self.degree)
 
     def __repr__(self):
         if self.char == 0:

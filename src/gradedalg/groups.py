@@ -23,13 +23,12 @@ def _p_part(n, p):
 class GroupTable:
     """A finite group as an order-n multiplication table of indices."""
 
-    def __init__(self, table, sylow=None, p=None, check=True):
+    def __init__(self, table, sylow=None, p=None):
         self.n = len(table)
         self.table = [list(row) for row in table]
         if any(len(row) != self.n for row in self.table):
             raise GroupError("multiplication table must be square")
-        if check:
-            self._check_axioms()
+        self._check_axioms()
         self.identity = self._find_identity()
         self.inverse = self._find_inverses()
         self.sylow = None
@@ -42,6 +41,25 @@ class GroupTable:
 
     def mul(self, g, h):
         return self.table[g][h]
+
+    def generators(self):
+        """A generating set, chosen greedily: each element outside the
+        subgroup generated so far is added, and the subgroup re-closed."""
+        gens = []
+        span = {self.identity}
+        for g in range(self.n):
+            if g in span:
+                continue
+            gens.append(g)
+            queue = list(span)
+            while queue:
+                x = queue.pop()
+                for s in gens:
+                    y = self.table[s][x]
+                    if y not in span:
+                        span.add(y)
+                        queue.append(y)
+        return gens
 
     def _check_axioms(self):
         n = self.n
@@ -114,7 +132,7 @@ class GroupTable:
                 prod = self.table[a][b]
                 row.append(next(i for i, c in enumerate(cosets) if prod in c))
             table.append(row)
-        return cosets, reps, GroupTable(table, check=True)
+        return cosets, reps, GroupTable(table)
 
 
 def _table_from_elements(elements, op):

@@ -185,13 +185,15 @@ class GroupModule:
             self._check_action()
 
     def _check_action(self):
+        # s*h for the generators s and every h: by induction on the word
+        # length of g, that gives g*h for every g
         G = self.algebra.group
         ident = Matrix.identity(self.field, self.dim)
         if self.mats[G.identity] != ident:
             raise RepresentationError("identity must act as the identity matrix")
-        for g in range(G.n):
+        for s in G.generators():
             for h in range(G.n):
-                if self.mats[g].mul(self.mats[h]) != self.mats[G.table[g][h]]:
+                if self.mats[s].mul(self.mats[h]) != self.mats[G.table[s][h]]:
                     raise RepresentationError("action matrices violate the group table")
 
     @classmethod

@@ -73,6 +73,26 @@ def test_localcoh_json_output_parses(ring_file, capsys):
     assert [-1, 1] in data["cech"]["H^1"]
 
 
+def test_localcoh_flags_uncertified_cells_and_exits_1(ring_file, capsys):
+    # with a stab bound of 2 no cell sees 3 equal ranks in a row
+    ring = {"char": 2, "vars": [{"name": "x", "codegree": 1},
+                                {"name": "y", "codegree": 1}]}
+    path = ring_file(ring)
+    assert run_cli(["localcoh", path, "--ideal", "x,y", "--window=-4..0",
+                    "--stab-bound", "2"]) == 1
+    out = capsys.readouterr().out
+    assert "H^2: -4:3? -3:2? -2:1?" in out
+    assert "uncertified" in out
+    assert run_cli(["localcoh", path, "--ideal", "x,y", "--window=-4..0",
+                    "--stab-bound", "2", "--json"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["uncertified"] == [[i, n] for i in range(3) for n in range(-4, 1)]
+    assert run_cli(["localcoh", path, "--ideal", "x,y", "--window=-4..0",
+                    "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["uncertified"] == [] and [-4, 3] in data["cech"]["H^2"]
+
+
 def test_koszul_zero_divisor_detected(ring_file, capsys):
     assert run_cli(["koszul", ring_file(RING_KX2), "--elements", "x"]) == 1
 

@@ -2,8 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+from gradedalg import fields
 from gradedalg.fields import (PrimeField, ExtensionField, Rationals, FieldSpec,
                               FieldError, is_prime)
+
+BUILT_IN = sorted(fields._MODULI)
 
 
 def test_rationals_arithmetic():
@@ -37,7 +40,7 @@ def test_inverse_of_zero_rejected():
             F.inv(F.zero())
 
 
-@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (5, 2), (2, 4)])
+@pytest.mark.parametrize("p,k", BUILT_IN)
 def test_extension_field_is_a_field(p, k):
     F = ExtensionField(p, k)
     elems = list(F.elements())
@@ -46,6 +49,81 @@ def test_extension_field_is_a_field(p, k):
     # every nonzero element has a two-sided inverse
     for x in nonzero:
         assert F.mul(x, F.inv(x)) == F.one()
+        assert F.mul(F.inv(x), x) == F.one()
+    assert FieldSpec(p, k).build() == F
+
+
+# Reference arithmetic on residue polynomials: tuples of coefficients,
+# constant term first, reduced modulo the field's monic modulus.
+
+def _ref_mul(a, b, mod, p):
+    k = len(mod) - 1
+    prod = [0] * (2 * k - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for i in range(2 * k - 2, k - 1, -1):
+        c = prod[i]
+        for j in range(k + 1):
+            prod[i - k + j] -= c * mod[j]
+    return tuple(c % p for c in prod[:k])
+
+
+def _ref_elements(p, k):
+    out = [()]
+    for _ in range(k):
+        out = [e + (c,) for e in out for c in range(p)]
+    return out
+
+
+def _ref_format(a):
+    return str(a[0]) if not any(a[1:]) else "(" + ",".join(map(str, a)) + ")"
+
+
+@pytest.mark.parametrize("p,k", BUILT_IN)
+def test_extension_field_matches_residue_polynomial_arithmetic(p, k):
+    F = ExtensionField(p, k)
+    mod = F.modulus
+    elems = _ref_elements(p, k)
+    enc = {a: F.validate(a) for a in elems}
+    assert sorted(enc.values()) == list(range(p ** k))
+    one = (1,) + (0,) * (k - 1)
+    for a in elems:
+        x = enc[a]
+        assert F.neg(x) == enc[tuple(-c % p for c in a)]
+        assert F.format(x) == _ref_format(a)
+        if any(a):
+            inverse = next(b for b in elems if _ref_mul(a, b, mod, p) == one)
+            assert F.inv(x) == enc[inverse]
+        for b in elems:
+            y = enc[b]
+            assert F.add(x, y) == enc[tuple((c + d) % p for c, d in zip(a, b))]
+            assert F.sub(x, y) == enc[tuple((c - d) % p for c, d in zip(a, b))]
+            assert F.mul(x, y) == enc[_ref_mul(a, b, mod, p)]
+    assert F.generator() == enc[(0, 1) + (0,) * (k - 2)]
+
+
+def test_extension_field_validate_takes_ints_in_range_and_k_tuples():
+    F = ExtensionField(3, 2)
+    assert F.validate(0) == 0 and F.validate(8) == 8
+    assert F.validate((2, 1)) == 5
+    assert F.validate((4, -1)) == 7  # tuple coefficients are taken mod p
+    for bad in (9, -1, (1, 0, 0), (1,), (1.0, 0), 1.5, Fraction(1, 2), "1"):
+        with pytest.raises(FieldError):
+            F.validate(bad)
+
+
+def test_a_reducible_modulus_fails_the_table_certificate(monkeypatch):
+    # u^3 + u + 2 has the root u = 4 over GF(5), so the residues have zero divisors
+    monkeypatch.setitem(fields._MODULI, (5, 3), (2, 1, 0, 1))
+    with pytest.raises(FieldError, match="reducible"):
+        ExtensionField(5, 3)
+
+
+def test_only_built_in_extensions_exist():
+    for p, k in [(2, 1), (2, 5), (11, 2), (4, 2)]:
+        with pytest.raises(FieldError):
+            ExtensionField(p, k)
 
 
 def test_extension_field_generator_has_full_order():

@@ -56,3 +56,27 @@ def test_quaternion_group_has_unique_involution():
     involutions = [x for x in range(g.n)
                    if x != g.identity and g.table[x][x] == g.identity]
     assert len(involutions) == 1
+
+
+def _closure(g, gens):
+    span, queue = {g.identity}, [g.identity]
+    while queue:
+        x = queue.pop()
+        for s in gens:
+            y = g.table[s][x]
+            if y not in span:
+                span.add(y)
+                queue.append(y)
+    return span
+
+
+def test_greedy_generators_generate_and_none_is_redundant():
+    for name in GROUP_PRESETS:
+        g = group_preset(name)
+        gens = g.generators()
+        assert _closure(g, gens) == set(range(g.n))
+        # each generator lies outside the subgroup of the ones before it
+        for i, s in enumerate(gens):
+            assert s not in _closure(g, gens[:i])
+    assert group_preset("a4").generators() == [1, 3]
+    assert group_preset("c4").generators() == [1]

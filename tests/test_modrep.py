@@ -51,6 +51,21 @@ def test_lifted_idempotents_are_idempotent_and_orthogonal():
                 assert A.mul(idems[i], idems[j]) == A.zero()
 
 
+@pytest.mark.parametrize("name,field", [("a4", F4), ("d8", F2)])
+def test_one_wrong_action_matrix_is_rejected(name, field):
+    A = GroupAlgebra(group_preset(name), field)
+    mats = A.regular_module().mats
+    G = A.group
+    GroupModule(A, mats)  # the regular module itself passes
+    for g in range(G.n):
+        if g == G.identity:
+            continue
+        wrong = list(mats)
+        wrong[g] = mats[G.identity]  # the regular representation is faithful
+        with pytest.raises(RepresentationError):
+            GroupModule(A, wrong)
+
+
 def test_projective_cover_of_a_p_group_is_the_regular_module():
     A = GroupAlgebra(group_preset("q8"), F2)
     P, surj = projective_cover(GroupModule.trivial(A))
