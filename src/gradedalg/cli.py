@@ -223,8 +223,11 @@ def _cmd_resolution(args):
     totals = res.betti.totals()
     report = {"command": "resolution", "betti": totals,
               "complete": res.betti.complete,
+              "window": {"h_max": args.hmax, "codegree_max": args.codegree_max},
               "graded": {f"{i},{n}": c for (i, n), c in sorted(res.betti.entries.items())},
               "lines": [f"betti totals: {totals}",
+                        f"window h_max {args.hmax}, codegree_max {args.codegree_max}: "
+                        f"Betti numbers are exact only for codegrees <= {args.codegree_max}",
                         f"finite length witnessed: {res.betti.complete}"]}
     if len(totals) >= 11:
         cls = ext_growth_class(totals)

@@ -52,8 +52,9 @@ def _check_kills_module(h, module):
         # column of f * e_j inside the target component
         unit = module.free.scalar_columns(module.ring.pconst(1))[j]
         gen_coords = module.component(shift).reduce(module.free.coords_of(unit, shift))
-        image = col.apply(gen_coords)
-        if any(x != module.ring.field.zero() for x in image):
+        z = module.ring.field.zero()
+        image = col.apply([gen_coords.get(k, z) for k in range(comp_dim)])
+        if any(x != z for x in image):
             raise HypersurfaceError("f does not annihilate the module")
 
 
@@ -71,7 +72,9 @@ def _solve_chain_map(target_diff, source_free, target_free, rhs, degree_raise):
     for j, s in enumerate(source_free.shifts):
         n = s + degree_raise
         b = target_diff.target.coords_of([row[j] for row in rhs], n)
-        sol = target_diff.matrix_at(n).solve(b)
+        z = ring.field.zero()
+        sol = target_diff.matrix_at(n).solve(
+            [b.get(k, z) for k in range(target_diff.target.dim(n))])
         if sol is None:
             raise HypersurfaceError("null homotopy system is inconsistent")
         cols.append(target_free.element_of(sol, n))

@@ -4,7 +4,11 @@ RowSpace is the one elimination kernel: ring and module components,
 resolution kernels, Cech ranks and Matrix's rref, rank, kernel_basis,
 image_basis and solve all reduce through it.  Its rows are sparse, so a
 Macaulay row m * f costs its |f| terms, not the width of the matrix.
-Matrices are dense and immutable after construction.
+
+Matrix holds the same {column: value} rows, its only storage, so its
+products, transposes, block assembly and elimination touch only nonzero
+entries.  Dense lists exist only at its public boundary.  Matrices are
+immutable after construction.
 """
 
 from __future__ import annotations
@@ -15,10 +19,16 @@ from .fields import FieldError
 
 
 class Matrix:
-    __slots__ = ("field", "nrows", "ncols", "rows", "_rref")
+    """An immutable matrix with sparse rows: srows[i] is {column: nonzero value}.
+
+    That is the only storage.  Dense lists appear only at the boundary:
+    the public constructor, the .rows view, rref()'s rows, kernel_basis()'s
+    vectors and apply()'s output.
+    """
+
+    __slots__ = ("field", "nrows", "ncols", "srows", "_space", "_solver")
 
     def __init__(self, field, rows, ncols=None):
-        self.field = field
         rows = [list(r) for r in rows]
         if rows:
             ncols_seen = len(rows[0])
@@ -29,35 +39,49 @@ class Matrix:
             ncols = ncols_seen
         elif ncols is None:
             ncols = 0
-        self.nrows = len(rows)
-        self.ncols = ncols
-        self.rows = [[field.validate(x) for x in r] for r in rows]
-        self._rref = None
+        z = field.zero()
+        srows = []
+        for r in rows:
+            row = {}
+            for c, x in enumerate(r):
+                x = field.validate(x)
+                if x != z:
+                    row[c] = x
+            srows.append(row)
+        self._init(field, srows, ncols)
+
+    def _init(self, field, srows, ncols):
+        self.field, self.srows, self.nrows, self.ncols = field, srows, len(srows), ncols
+        self._space = self._solver = None
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def _of(cls, field, rows, ncols):
-        """A matrix of rows built here from field elements: nothing to validate."""
+    def _of(cls, field, srows, ncols):
+        """A matrix of sparse rows built here from field elements: nothing to validate."""
         m = cls.__new__(cls)
-        m.field, m.rows, m.nrows, m.ncols, m._rref = field, rows, len(rows), ncols, None
+        m._init(field, srows, ncols)
         return m
 
     @classmethod
     def zero(cls, field, nrows, ncols):
-        z = field.zero()
-        return cls._of(field, [[z] * ncols for _ in range(nrows)], ncols)
+        return cls._of(field, [{} for _ in range(nrows)], ncols)
 
     @classmethod
     def identity(cls, field, n):
-        z, o = field.zero(), field.one()
-        return cls._of(field, [[o if i == j else z for j in range(n)] for i in range(n)], n)
+        o = field.one()
+        return cls._of(field, [{i: o} for i in range(n)], n)
 
     @classmethod
     def from_columns(cls, field, cols, nrows):
-        if not cols:
-            return cls.zero(field, nrows, 0)
-        return cls._of(field, [[c[i] for c in cols] for i in range(nrows)], len(cols))
+        """The matrix with the given columns, each a list or a {row: value} dict."""
+        z = field.zero()
+        srows = [{} for _ in range(nrows)]
+        for j, col in enumerate(cols):
+            for i, x in (col.items() if isinstance(col, dict) else enumerate(col)):
+                if x != z:
+                    srows[i][j] = x
+        return cls._of(field, srows, len(cols))
 
     @classmethod
     def from_blocks(cls, field, row_sizes, col_sizes, blocks):
@@ -69,121 +93,160 @@ class Matrix:
         """
         row_off = [sum(row_sizes[:i]) for i in range(len(row_sizes))]
         col_off = [sum(col_sizes[:j]) for j in range(len(col_sizes))]
-        ncols = sum(col_sizes)
-        z = field.zero()
-        rows = [[z] * ncols for _ in range(sum(row_sizes))]
+        neg = field.neg
+        srows = [{} for _ in range(sum(row_sizes))]
         for (i, j), (sign, m) in blocks.items():
-            c = col_off[j]
-            for r, src in enumerate(m.rows):
-                rows[row_off[i] + r][c:c + m.ncols] = (
-                    src if sign == 1 else [field.neg(x) for x in src])
-        return cls._of(field, rows, ncols)
+            r0, c0 = row_off[i], col_off[j]
+            for r, src in enumerate(m.srows):
+                dst = srows[r0 + r]
+                for c, x in src.items():
+                    dst[c0 + c] = x if sign == 1 else neg(x)
+        return cls._of(field, srows, sum(col_sizes))
 
     # -- basics -------------------------------------------------------
 
+    @property
+    def rows(self):
+        """The rows as dense lists, built on each access."""
+        z = self.field.zero()
+        return [[r.get(c, z) for c in range(self.ncols)] for r in self.srows]
+
     def column(self, j):
-        return [r[j] for r in self.rows]
+        z = self.field.zero()
+        return [r.get(j, z) for r in self.srows]
 
     def transpose(self):
-        return Matrix._of(self.field, [[self.rows[i][j] for i in range(self.nrows)]
-                                       for j in range(self.ncols)], self.nrows)
+        cols = [{} for _ in range(self.ncols)]
+        for i, row in enumerate(self.srows):
+            for j, x in row.items():
+                cols[j][i] = x
+        return Matrix._of(self.field, cols, self.nrows)
 
     def mul(self, other):
         if not isinstance(other, Matrix) or other.field != self.field:
             raise FieldError("matrix product requires matching fields")
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch in matrix product")
-        F = self.field
-        z = F.zero()
-        out = []
-        for i in range(self.nrows):
-            arow = self.rows[i]
-            row = []
-            for j in range(other.ncols):
-                acc = z
-                for k in range(self.ncols):
-                    a = arow[k]
-                    if a != z:
-                        acc = F.add(acc, F.mul(a, other.rows[k][j]))
-                row.append(acc)
-            out.append(row)
-        return Matrix._of(F, out, other.ncols)
+        return Matrix._of(self.field, [combine(self.field, other.srows, arow)
+                                       for arow in self.srows], other.ncols)
 
     def apply(self, vec):
-        """Matrix times column vector (a list)."""
-        F = self.field
-        z = F.zero()
+        """Matrix times column vector (a list); returns a list."""
         if len(vec) != self.ncols:
             raise ValueError("vector length mismatch")
+        F = self.field
+        add, mul, z = F.add, F.mul, F.zero()
         out = []
-        for i in range(self.nrows):
+        for row in self.srows:
             acc = z
-            for k, a in enumerate(self.rows[i]):
-                if a != z:
-                    acc = F.add(acc, F.mul(a, vec[k]))
+            for k, a in row.items():
+                x = vec[k]
+                if x != z:
+                    acc = add(acc, mul(a, x))
             out.append(acc)
         return out
 
     def is_zero(self):
-        z = self.field.zero()
-        return all(x == z for r in self.rows for x in r)
+        return not any(self.srows)
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and other.field == self.field
-                and other.rows == self.rows and other.ncols == self.ncols)
+                and other.ncols == self.ncols and other.srows == self.srows)
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols} over {self.field!r})"
 
     # -- elimination --------------------------------------------------
 
-    def rref(self):
-        """Reduced row echelon form: (rows, pivot column list)."""
-        if self._rref is None:
+    def _eliminated(self):
+        """The row space in reduced row echelon form, and its pivots (cached)."""
+        if self._space is None:
             space = RowSpace(self.field, self.ncols)
-            for row in self.rows:
+            for row in self.srows:
                 space.insert(row)
-            self._rref = space._rref()
-        return self._rref
+            self._space = space, space.back_substitute()
+        return self._space
+
+    def rref(self):
+        """Reduced row echelon form: (dense rows, pivot column list)."""
+        space, pivots = self._eliminated()
+        z, o = self.field.zero(), self.field.one()
+        return [[o if c == p else space._rows[p].get(c, z) for c in range(self.ncols)]
+                for p in pivots], pivots
 
     def rank(self):
-        return len(self.rref()[1])
+        return len(self._eliminated()[1])
 
     def kernel_basis(self):
-        """Basis of the right null space, as column vectors (lists)."""
+        """Basis of the right null space, as column vectors (lists).
+
+        One vector per non-pivot column fc: 1 there, minus column fc of the
+        reduced rows at the pivots, zero elsewhere.
+        """
         F = self.field
         z, o = F.zero(), F.one()
-        rows, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.ncols) if c not in pivot_set]
-        basis = []
-        for fc in free:
-            v = [z] * self.ncols
-            v[fc] = o
-            for r, pc in enumerate(pivots):
-                v[pc] = F.neg(rows[r][fc])
-            basis.append(v)
-        return basis
+        space, pivots = self._eliminated()
+        basis = {fc: {fc: o} for fc in space.nonpivot_columns()}
+        # reduced rows hold entries only in non-pivot columns
+        for p in pivots:
+            for fc, x in space._rows[p].items():
+                basis[fc][p] = F.neg(x)
+        return [[v.get(c, z) for c in range(self.ncols)] for v in basis.values()]
 
     def image_basis(self):
         """Columns of the matrix forming a basis of the column space."""
-        _, pivots = self.rref()
+        _, pivots = self._eliminated()
         return [self.column(c) for c in pivots]
 
     def solve(self, b):
-        """One solution x of Ax = b, or None if inconsistent."""
+        """One solution x of Ax = b, or None if inconsistent.
+
+        The first call eliminates [A | I] once; every b then costs one pass
+        over the reduced rows.  A reduced row [r | t] has r = tA, so a row
+        with r = 0 is a left-kernel vector that b must be orthogonal to, and
+        the others give the solution with every free variable zero, the one
+        the reduced form of [A | b] gives.
+        """
         if len(b) != self.nrows:
             raise ValueError("vector length mismatch")
         F = self.field
-        z = F.zero()
-        aug = Matrix._of(F, [row + [bv] for row, bv in zip(self.rows, b)], self.ncols + 1)
-        rows, pivots = aug.rref()
-        if self.ncols in pivots:
-            return None
-        x = [z] * self.ncols
-        for r, pc in enumerate(pivots):
-            x[pc] = rows[r][self.ncols]
+        add, mul, z = F.add, F.mul, F.zero()
+        n = self.ncols
+        if self._solver is None:
+            space = RowSpace(F, n + self.nrows)
+            o = F.one()
+            for i, row in enumerate(self.srows):
+                space.insert({**row, n + i: o})
+            self._solver = space, space.back_substitute()
+        space, pivots = self._solver
+        x = [z] * n
+        for p in pivots:
+            acc = b[p - n] if p >= n else z
+            for c, t in space._rows[p].items():
+                if c >= n and b[c - n] != z:
+                    acc = add(acc, mul(t, b[c - n]))
+            if p < n:
+                x[p] = acc
+            elif acc != z:
+                return None
         return x
+
+
+def combine(field, vectors, coeffs):
+    """sum of coeffs[k] * vectors[k] as a {column: value} dict.
+
+    vectors are {column: value} dicts; coeffs is a list or a
+    {k: value} dict, and only its nonzero entries are visited.
+    """
+    add, mul, z = field.add, field.mul, field.zero()
+    out = {}
+    for k, c in (coeffs.items() if isinstance(coeffs, dict) else enumerate(coeffs)):
+        if c == z:
+            continue
+        for col, x in vectors[k].items():
+            old = out.get(col)
+            out[col] = mul(c, x) if old is None else add(old, mul(c, x))
+    return {col: x for col, x in out.items() if x != z}
 
 
 class RowSpace:
@@ -203,18 +266,22 @@ class RowSpace:
         self.field = field
         self.ncols = ncols
         self._rows = {}          # pivot column -> {column > pivot: value}
-        self._nonpivots = None   # cached; insert clears it
+        self._nonpivots = None   # cached with their positions; insert clears both
+        self._position = None
 
     def _reduced(self, vec):
         """vec as a {column: value} dict, reduced until no pivot column is left."""
         F = self.field
-        add, mul, neg, z = F.add, F.mul, F.neg, F.zero()
+        z = F.zero()
         rows = self._rows
         v = {c: x for c, x in (vec.items() if isinstance(vec, dict) else enumerate(vec))
              if x != z}
         # A row touches only columns right of its pivot, so clearing pivot
         # columns in increasing order never refills one already cleared.
         heap = [c for c in v if c in rows]
+        if not heap:
+            return v
+        add, mul, neg = F.add, F.mul, F.neg
         heapify(heap)
         while heap:
             p = heappop(heap)
@@ -253,7 +320,7 @@ class RowSpace:
         if inv != F.one():
             v = {c: F.mul(inv, x) for c, x in v.items()}
         self._rows[p] = v
-        self._nonpivots = None
+        self._nonpivots = self._position = None
         return True
 
     def contains(self, vec):
@@ -266,26 +333,33 @@ class RowSpace:
     def nonpivot_columns(self):
         if self._nonpivots is None:
             self._nonpivots = [c for c in range(self.ncols) if c not in self._rows]
+            self._position = {c: k for k, c in enumerate(self._nonpivots)}
         return self._nonpivots
 
-    def quotient_coords(self, vec):
-        """Coordinates of `vec` in the quotient by this space.
+    def sparse_quotient_coords(self, vec):
+        """Coordinates of `vec` in the quotient by this space, as
+        {non-pivot position: value}.
 
         The quotient basis is the set of non-pivot coordinate vectors.
         """
+        self.nonpivot_columns()
+        position = self._position
+        # the reduced vector has no pivot column left
+        return {position[c]: x for c, x in self._reduced(vec).items()}
+
+    def quotient_coords(self, vec):
+        """sparse_quotient_coords as a dense list."""
         v = self._reduced(vec)
         z = self.field.zero()
         return [v.get(c, z) for c in self.nonpivot_columns()]
 
-    def _rref(self):
-        """Back-substitute into reduced row echelon form: (dense rows, pivots).
+    def back_substitute(self):
+        """Bring the rows to reduced row echelon form; returns the sorted pivots.
 
         Rows are reduced from the last pivot to the first, so each one
         meets only rows already fully reduced.
         """
-        z, o = self.field.zero(), self.field.one()
         pivots = sorted(self._rows)
         for p in reversed(pivots):
             self._rows[p] = self._reduced(self._rows[p])
-        return [[o if c == p else self._rows[p].get(c, z) for c in range(self.ncols)]
-                for p in pivots], pivots
+        return pivots

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .linalg import Matrix, RowSpace
+from .linalg import Matrix, RowSpace, combine
 from .modules import FreeModule, PolyMatrix
 from .resolution import minimal_resolution
 
@@ -104,13 +104,16 @@ class _KoszulCochainSlice:
         return m
 
     def cocycles(self, i):
-        """A basis of the kernel of the differential out of cochain degree i."""
+        """A basis of the kernel of the differential out of cochain degree i,
+        as {position: value} dicts."""
         dim_i = self.term_dim(i)
         if dim_i == 0:
             return []
         if i < len(self.elements):
-            return self.differential(i).kernel_basis()
-        return Matrix.identity(self.module.ring.field, dim_i).rows
+            z = self.module.ring.field.zero()
+            return [{c: x for c, x in enumerate(v) if x != z}
+                    for v in self.differential(i).kernel_basis()]
+        return [{c: self.module.ring.field.one()} for c in range(dim_i)]
 
     def transition_to(self, other, i) -> Matrix:
         """Chain map slice induced by raising levels (multiply by the gaps)."""
@@ -132,17 +135,16 @@ def _induced_rank(low, high, i):
     kb_low = low.cocycles(i)
     if not kb_low:
         return 0
-    T = low.transition_to(high, i)
+    images = low.transition_to(high, i).transpose().srows  # column by column
     F = low.module.ring.field
     dim_high = high.term_dim(i)
     span = RowSpace(F, dim_high)
     if i > 0:
-        d_prev = high.differential(i - 1)
-        for j in range(d_prev.ncols):
-            span.insert(d_prev.column(j))
+        for col in high.differential(i - 1).transpose().srows:
+            span.insert(col)
     base = span.dim
     for v in kb_low:
-        span.insert(T.apply(v))
+        span.insert(combine(F, images, v))
     return span.dim - base
 
 

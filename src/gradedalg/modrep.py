@@ -29,6 +29,7 @@ class GroupAlgebra:
         self.group = group
         self.field = field
         self.n = group.n
+        self._pims = None  # principal_indecomposables, built on first use
 
     def zero(self):
         return [self.field.zero()] * self.n
@@ -233,7 +234,11 @@ class GroupModule:
         return basis
 
     def restrict_to(self, basis):
-        """The submodule spanned by `basis` as a module in its own right."""
+        """The submodule spanned by `basis` as a module in its own right.
+
+        incl is eliminated once, by its first solve; every image is then
+        solved against that elimination.
+        """
         if not basis:
             return GroupModule.zero(self.algebra), Matrix(self.field, [], ncols=0)
         incl = Matrix.from_columns(self.field, basis, self.dim)
@@ -276,15 +281,21 @@ def radical(algebra: GroupAlgebra):
 
 
 def principal_indecomposables(algebra: GroupAlgebra):
-    """PIMs as submodules of the regular module, one per quotient character."""
-    reg = algebra.regular_module()
-    out = []
-    for chi, e in algebra.lifted_idempotents():
-        basis = reg.submodule_span([e])
-        mod, incl = reg.restrict_to(basis)
-        out.append({"character": chi, "idempotent": e, "module": mod,
-                    "inclusion": incl, "dim": mod.dim})
-    return out
+    """PIMs as submodules of the regular module, one per quotient character.
+
+    Built once per algebra and kept on it: every projective cover over
+    the algebra shares them.
+    """
+    if algebra._pims is None:
+        reg = algebra.regular_module()
+        out = []
+        for chi, e in algebra.lifted_idempotents():
+            basis = reg.submodule_span([e])
+            mod, incl = reg.restrict_to(basis)
+            out.append({"character": chi, "idempotent": e, "module": mod,
+                        "inclusion": incl, "dim": mod.dim})
+        algebra._pims = out
+    return algebra._pims
 
 
 def projective_cover(module: GroupModule):

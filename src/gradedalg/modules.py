@@ -2,6 +2,8 @@
 
 All degreewise computations funnel through ring components, so every
 coordinate already lives in the quotient-ring basis of its codegree.
+Coordinates are sparse {position: value} dicts, the column format of
+Matrix.from_columns.
 A free-module codegree-n basis is the list of pairs (slot, monomial)
 with the monomial running over the quotient basis of the complementary
 codegree.
@@ -20,6 +22,7 @@ class FreeModule:
         self.ring = ring
         self.shifts = tuple(int(s) for s in shifts)
         self._basis_cache = {}
+        self._offset_cache = {}
 
     @property
     def rank(self):
@@ -35,24 +38,58 @@ class FreeModule:
         self._basis_cache[n] = out
         return out
 
+    def offsets(self, n):
+        """Position of each slot's first coordinate at codegree n."""
+        if n not in self._offset_cache:
+            out, pos = [], 0
+            for s in self.shifts:
+                out.append(pos)
+                pos += self.ring.component(n - s).dim
+            self._offset_cache[n] = out
+        return self._offset_cache[n]
+
     def dim(self, n):
         return len(self.basis(n))
 
     def coords_of(self, element, n):
-        """Coordinates at codegree n of a polynomial vector (one poly per slot)."""
-        out = []
-        for j, s in enumerate(self.shifts):
-            out.extend(self.ring.component(n - s).reduce_poly(element[j]))
+        """Coordinates {position: value} at codegree n of a polynomial vector
+        (one poly per slot)."""
+        out = {}
+        for j, (s, off) in enumerate(zip(self.shifts, self.offsets(n))):
+            if element[j]:
+                for k, x in self.ring.component(n - s).reduce_poly(element[j]).items():
+                    out[off + k] = x
         return out
 
     def images(self, pairs, columns, n):
-        """Coordinates at codegree n of mono * columns[j] for each (j, mono).
+        """Coordinates {position: value} at codegree n of mono * columns[j]
+        for each (j, mono), mono a basis monomial.
 
-        columns[j] is a polynomial vector in the slots of this module.
+        columns[j] is a homogeneous polynomial vector in the slots of this
+        module, so the monomials paired with j share one codegree.  Each
+        (polynomial, codegree) table is built once per call; a generator's
+        comes from the ring's cache.
         """
         ring = self.ring
-        return [self.coords_of([ring.mono_times_poly(mono, p) for p in columns[j]], n)
-                for j, mono in pairs]
+        offsets = self.offsets(n)
+        tables = {}   # (id of polynomial, codegree) -> times_table
+        parts = {}    # j -> [(slot offset, table)]
+        out = []
+        for j, mono in pairs:
+            if j not in parts:
+                parts[j] = []
+                for i, p in enumerate(columns[j]):
+                    if p:
+                        key = (id(p), n - self.shifts[i] - ring.poly_codegree(p))
+                        if key not in tables:
+                            tables[key] = ring.times_table(p, key[1])
+                        parts[j].append((offsets[i], tables[key]))
+            v = {}
+            for off, table in parts[j]:
+                for k, x in table[mono].items():
+                    v[off + k] = x
+            out.append(v)
+        return out
 
     def scalar_columns(self, poly):
         """The columns of poly times the identity, as polynomial vectors."""
@@ -60,18 +97,15 @@ class FreeModule:
                 for j in range(self.rank)]
 
     def element_of(self, coords, n):
-        """Inverse of coords_of: coordinates -> polynomial vector."""
-        F = self.ring.field
-        z = F.zero()
-        element = [dict() for _ in self.shifts]
-        pos = 0
-        for j, s in enumerate(self.shifts):
-            comp = self.ring.component(n - s)
-            for mono in comp.basis:
-                c = coords[pos]
-                pos += 1
-                if c != z:
-                    element[j][mono] = c
+        """Inverse of coords_of: coordinates (a list or a {position: value}
+        dict) -> polynomial vector."""
+        z = self.ring.field.zero()
+        basis = self.basis(n)
+        element = [{} for _ in self.shifts]
+        for pos, c in (coords.items() if isinstance(coords, dict) else enumerate(coords)):
+            if c != z:
+                j, mono = basis[pos]
+                element[j][mono] = c
         return element
 
     def min_degree(self):
@@ -194,8 +228,10 @@ class GradedModule:
         ring = self.ring
         free_basis = self.free.basis(n)
         span = RowSpace(ring.field, len(free_basis))
+        # the basis monomials of R^(n-d) span it, so their multiples of a
+        # relation span what all monomial multiples do
         pairs = [(k, mono) for k, (d, _) in enumerate(self.rel_columns)
-                 for mono in ring.monomials(n - d)]
+                 for mono in ring.component(n - d).basis]
         for v in self.free.images(pairs, [col for _, col in self.rel_columns], n):
             span.insert(v)
         comp = ModuleComponent(self, n, free_basis, span)
@@ -234,15 +270,11 @@ class ModuleComponent:
         self.dim = len(self.basis)
 
     def reduce(self, free_coords):
-        """Free-module coordinates -> module quotient coordinates."""
-        return self._span.quotient_coords(free_coords)
+        """Free-module coordinates -> module quotient coordinates {position: value}."""
+        return self._span.sparse_quotient_coords(free_coords)
 
     def lift(self, coords):
-        """Quotient coordinates -> a representative in free coordinates."""
-        F = self.module.ring.field
-        z = F.zero()
-        vec = [z] * len(self.free_basis)
+        """Quotient coordinates {position: value} -> a representative in
+        free coordinates {position: value}."""
         nonpivots = self._span.nonpivot_columns()
-        for c, val in zip(nonpivots, coords):
-            vec[c] = val
-        return vec
+        return {nonpivots[k]: x for k, x in coords.items()}

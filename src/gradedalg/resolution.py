@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import Matrix, RowSpace
+from .linalg import Matrix, RowSpace, combine
 from .modules import FreeModule, GradedModule, PolyMatrix
 
 
@@ -113,10 +113,10 @@ def _minimal_generators_of_module(module: GradedModule, codegree_max):
             dx = ring.codegrees[i]
             if n - dx < lo:
                 continue
-            mm = module.mult_matrix(ring.gen_poly(i), n - dx)
-            for j in range(mm.ncols):
-                span.insert(mm.column(j))
-        for e in Matrix.identity(ring.field, comp.dim).rows:
+            for col in module.mult_matrix(ring.gen_poly(i), n - dx).transpose().srows:
+                span.insert(col)
+        for k in range(comp.dim):
+            e = {k: ring.field.one()}
             if span.insert(e):
                 gens.append((n, module.free.element_of(comp.lift(e), n)))
     return gens
@@ -150,11 +150,12 @@ def _kernel_generators(diff, source: FreeModule, codegree_max):
             lower = kernels.get(n - dx)
             if not lower:
                 continue
+            # x_i times the kernel below, combined from the sparse images
+            # of x_i times each basis vector
             cols = source.images(source.basis(n - dx),
                                  source.scalar_columns(ring.gen_poly(i)), n)
-            mm = Matrix.from_columns(F, cols, dim_n)
             for v in lower:
-                span.insert(mm.apply(v))
+                span.insert(combine(F, cols, v))
         for v in kb:
             if span.insert(v):
                 gens.append((n, v, source.element_of(v, n)))

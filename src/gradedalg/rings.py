@@ -38,6 +38,7 @@ class GradedRing:
         self.odd = tuple(d % 2 == 1 and self.signed for d in self.codegrees)
         self._mono_cache = {}
         self._component_cache = {}
+        self._generator_tables = {}  # (generator, codegree) -> times_table
         self.relations = []
         for rel in (relations or []):
             rel = self._validated_poly(rel)
@@ -160,26 +161,6 @@ class GradedRing:
             raise PresentationError(f"polynomial is not homogeneous: codegrees {sorted(degs)}")
         return degs.pop()
 
-    def poly_str(self, p):
-        if not p:
-            return "0"
-        parts = []
-        for mono in sorted(p, reverse=True):
-            c = p[mono]
-            factors = []
-            for (name, _), e in zip(self.gens, mono):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            cs = self.field.format(c)
-            if factors:
-                body = "*".join(factors)
-                parts.append(body if cs == "1" else f"{cs}*{body}")
-            else:
-                parts.append(cs)
-        return " + ".join(parts)
-
     # -- monomial bases -------------------------------------------------
 
     def monomials(self, n):
@@ -229,6 +210,31 @@ class GradedRing:
         self._component_cache[n] = comp
         return comp
 
+    def times_table(self, p, a):
+        """{b: sparse coordinates in R_(a+|p|) of b * p} for the basis monomials b of R_a.
+
+        b multiplies on the left, which fixes the signs of odd generators.
+        Only the tables of the generators are cached here: every free
+        module, resolution stage and module over the ring reuses them.
+        """
+        gen = self._generator_of(p)
+        if gen is not None and (gen, a) in self._generator_tables:
+            return self._generator_tables[gen, a]
+        target = self.component(a + self.poly_codegree(p))
+        table = {b: target.reduce_poly(self.mono_times_poly(b, p))
+                 for b in self.component(a).basis}
+        if gen is not None:
+            self._generator_tables[gen, a] = table
+        return table
+
+    def _generator_of(self, p):
+        """The index i when p is the generator x_i itself, else None."""
+        if len(p) == 1:
+            (mono, c), = p.items()
+            if sum(mono) == 1 and c == self.field.one():
+                return mono.index(1)
+        return None
+
     def dim(self, n):
         return self.component(n).dim
 
@@ -260,8 +266,9 @@ class RingComponent:
         self.dim = len(self.basis)
 
     def reduce_poly(self, p):
-        """Coordinates of a codegree-n polynomial in the quotient basis."""
-        return self._span.quotient_coords({self.index[mono]: c for mono, c in p.items()})
+        """Coordinates {basis position: value} of a codegree-n polynomial."""
+        index = self.index
+        return self._span.sparse_quotient_coords({index[mono]: c for mono, c in p.items()})
 
 
 def polynomial_ring(field, names_degrees):

@@ -103,6 +103,17 @@ def test_resolution_of_the_residue_field(ring_file, capsys):
     assert "bounded" in out
 
 
+def test_resolution_reports_its_window(ring_file, capsys):
+    assert run_cli(["resolution", ring_file(RING_KX2), "--hmax", "4",
+                    "--codegree-max", "6", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["window"] == {"h_max": 4, "codegree_max": 6}
+    assert data["betti"] == [1, 1, 1, 1, 1]
+    assert run_cli(["resolution", ring_file(RING_KX2), "--hmax", "4",
+                    "--codegree-max", "6"]) == 0
+    assert "exact only for codegrees <= 6" in capsys.readouterr().out
+
+
 def test_hypersurface_matrix_factorization(ring_file, capsys):
     assert run_cli(["hypersurface", ring_file(RING_KX), "--f", "x^2",
                     "--mf", "--hmax", "8"]) == 0

@@ -184,6 +184,8 @@ def test_rowspace_matches_dense_elimination(as_dict, case):
         reduced = _dense_reduce(F, ref_rows, pivots, vec)
         assert rs.reduce(given_as(vec)) == reduced
         assert rs.quotient_coords(given_as(vec)) == [reduced[c] for c in nonpivots]
+        assert rs.sparse_quotient_coords(given_as(vec)) == {
+            k: reduced[c] for k, c in enumerate(nonpivots) if reduced[c] != F.zero()}
         assert rs.contains(given_as(vec)) == all(x == F.zero() for x in reduced)
 
 
@@ -213,3 +215,93 @@ def test_matrix_matches_dense_elimination(case):
             for row, pc in zip(aug_rows, aug_pivots):
                 x[pc] = row[-1]
         assert t.solve(b) == x
+
+
+# -- differential test of the Matrix operations against dense loops ---------
+
+def _dense_apply(F, rows, vec):
+    out = []
+    for row in rows:
+        acc = F.zero()
+        for a, x in zip(row, vec):
+            acc = F.add(acc, F.mul(a, x))
+        out.append(acc)
+    return out
+
+
+def _dense_mul(F, a_rows, b_rows, ncols):
+    return [[_dense_apply(F, [[r[j] for r in b_rows]], row)[0] for j in range(ncols)]
+            for row in a_rows]
+
+
+def _dense_blocks(F, row_sizes, col_sizes, blocks):
+    rows = [[F.zero()] * sum(col_sizes) for _ in range(sum(row_sizes))]
+    for (i, j), (sign, m) in blocks.items():
+        r0, c0 = sum(row_sizes[:i]), sum(col_sizes[:j])
+        for r, row in enumerate(m.rows):
+            for c, x in enumerate(row):
+                rows[r0 + r][c0 + c] = x if sign == 1 else F.neg(x)
+    return rows
+
+
+@st.composite
+def _matrix_cases(draw):
+    """A field, two compatible matrices a (n x k) and b (k x m), a vector,
+    and a block layout with random signs and missing blocks."""
+    field = draw(st.sampled_from([F2, F5, F4, QQ]))
+    values = [field.zero()] * 3 + [field.from_int(k) for k in (1, -1, 2)]
+    if field is F4:
+        values.append(field.generator())
+    elem = st.sampled_from(values)
+
+    def dense(nrows, ncols):
+        return [[draw(elem) for _ in range(ncols)] for _ in range(nrows)]
+
+    n, k, m = (draw(st.integers(0, 5)) for _ in range(3))
+    a, b = dense(n, k), dense(k, m)
+    vec = [draw(elem) for _ in range(k)]
+    row_sizes = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    col_sizes = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    blocks = {}
+    for i, r in enumerate(row_sizes):
+        for j, c in enumerate(col_sizes):
+            if draw(st.booleans()):
+                blocks[i, j] = (draw(st.sampled_from([1, -1])), Matrix(field, dense(r, c), c))
+    return field, a, b, k, m, vec, row_sizes, col_sizes, blocks
+
+
+@settings(max_examples=200, deadline=None)
+@given(_matrix_cases())
+def test_matrix_operations_match_dense_loops(case):
+    F, a_rows, b_rows, k, m, vec, row_sizes, col_sizes, blocks = case
+    z = F.zero()
+    a, b = Matrix(F, a_rows, k), Matrix(F, b_rows, m)
+    assert a.rows == a_rows and (a.nrows, a.ncols) == (len(a_rows), k)
+    assert a.apply(vec) == _dense_apply(F, a_rows, vec)
+    product = a.mul(b)
+    assert product.rows == _dense_mul(F, a_rows, b_rows, m)
+    assert (product.nrows, product.ncols) == (len(a_rows), m)
+    t = a.transpose()
+    assert t.rows == [[r[j] for r in a_rows] for j in range(k)]
+    assert (t.nrows, t.ncols) == (k, len(a_rows))
+    assert t.transpose() == a
+    for j in range(k):
+        assert a.column(j) == [r[j] for r in a_rows]
+    columns = [a.column(j) for j in range(k)]
+    assert Matrix.from_columns(F, columns, len(a_rows)) == a
+    sparse = [{i: x for i, x in enumerate(c) if x != z} for c in columns]
+    assert Matrix.from_columns(F, sparse, len(a_rows)) == a
+    assert a.is_zero() == all(x == z for r in a_rows for x in r)
+    assert (a == Matrix.zero(F, len(a_rows), k)) == a.is_zero()
+    assert a == Matrix(F, a_rows, k)
+    blocked = Matrix.from_blocks(F, row_sizes, col_sizes, blocks)
+    assert blocked.rows == _dense_blocks(F, row_sizes, col_sizes, blocks)
+    assert (blocked.nrows, blocked.ncols) == (sum(row_sizes), sum(col_sizes))
+
+
+def test_matrix_equality_sees_shape_and_entries():
+    assert Matrix(F5, [[1, 0]]) != Matrix(F5, [[1, 0, 0]])
+    assert Matrix(F5, [[1, 0]]) != Matrix(F5, [[1, 1]])
+    assert Matrix(F5, [], ncols=2) != Matrix(F5, [], ncols=3)
+    assert Matrix.zero(F5, 0, 2) == Matrix(F5, [], ncols=2)
+    assert Matrix(F5, [[0, 6]]) == Matrix(F5, [[5, 1]])

@@ -155,3 +155,46 @@ def test_coradical_tower_certificates(gf, data):
         sub, _ = mod.restrict_to(tower)
         # stability: applying the tower construction again changes nothing
         assert len(k_coradical_tower(sub)) == sub.dim
+
+
+def _counting(monkeypatch, owner, name):
+    calls = []
+    method = getattr(owner, name)
+
+    def counted(*args, **kw):
+        calls.append(1)
+        return method(*args, **kw)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_principal_indecomposables_are_built_once_per_algebra(monkeypatch):
+    builds = _counting(monkeypatch, GroupAlgebra, "regular_module")
+    A = GroupAlgebra(group_preset("a4"), F4)
+    P, _ = projective_cover(GroupModule.trivial(A))
+    projective_cover(P)
+    assert len(builds) == 1
+    assert principal_indecomposables(A) is principal_indecomposables(A)
+    dims, homology = squeezed_resolution(group_preset("a4"), F4, 6)
+    assert homology == [1, 1, 2, 2, 2, 2, 2]
+    assert len(builds) == 2  # one more algebra, one more regular module
+
+
+def test_restriction_eliminates_the_inclusion_once(monkeypatch):
+    A = GroupAlgebra(group_preset("a4"), F4)
+    reg = A.regular_module()
+    basis = reg.submodule_span([A.lifted_idempotents()[0][1]])
+    eliminations = _counting(monkeypatch, RowSpace, "back_substitute")
+    mod, incl = reg.restrict_to(basis)
+    assert len(eliminations) == 1
+    assert mod.dim == len(basis) == 4
+    mod._check_action()
+
+
+def test_restriction_to_a_non_submodule_is_rejected():
+    A = GroupAlgebra(group_preset("c2"), F2)
+    reg = A.regular_module()
+    # the identity element alone: the other group element moves it out
+    with pytest.raises(RepresentationError, match="does not span a submodule"):
+        reg.restrict_to([A.one()])

@@ -3,6 +3,7 @@ from math import comb
 import pytest
 
 from gradedalg.fields import PrimeField, Rationals
+from gradedalg.linalg import Matrix
 from gradedalg.parsing import ring_with_relations
 from gradedalg.presets import get_preset
 from gradedalg.rings import GradedRing, PresentationError, polynomial_ring
@@ -84,3 +85,56 @@ def test_sd16_hilbert_prefix_at_macaulay_scale():
     # benchmark reduces
     preset = get_preset("sd16")
     assert preset.build_ring().hilbert_prefix(44) == preset.series().expand(0, 44)
+
+
+def _table_matrix(ring, i, a):
+    """Multiplication by generator i, R_a -> R_(a + |x_i|), from its table."""
+    table = ring.times_table(ring.gen_poly(i), a)
+    return Matrix.from_columns(ring.field, list(table.values()),
+                               ring.dim(a + ring.codegrees[i]))
+
+
+def _ring(name):
+    if name == "exterior":  # two odd generators over QQ, where signs count
+        return ring_with_relations(Rationals(), [("e", 1), ("f", 3), ("y", 2)], [])
+    return get_preset(name).build_ring()
+
+
+@pytest.mark.parametrize("name", ["a4_ring", "sd16", "rational_x", "exterior"])
+def test_generator_tables_match_products_column_by_column(name):
+    ring = _ring(name)
+    for i, d in enumerate(ring.codegrees):
+        x = ring.gen_poly(i)
+        for a in range(11):
+            table = ring.times_table(x, a)
+            assert ring.times_table(x, a) is table  # cached on the ring
+            assert list(table) == ring.component(a).basis
+            target = ring.component(a + d)
+            for b in table:
+                assert table[b] == target.reduce_poly(ring.mono_times_poly(b, x))
+    square = ring.pmul(ring.gen_poly(0), ring.gen_poly(0))
+    assert ring.times_table(square, 2) is not ring.times_table(square, 2)
+
+
+def test_generator_tables_multiply_with_the_monomial_on_the_left():
+    ring = _ring("exterior")
+    one, minus_one = ring.field.one(), ring.field.from_int(-1)
+    ef = ring.component(4).basis.index((1, 1, 0))
+    assert ring.times_table(ring.gen_poly(1), 1)[(1, 0, 0)] == {ef: one}        # e * f
+    assert ring.times_table(ring.gen_poly(0), 3)[(0, 1, 0)] == {ef: minus_one}  # f * e
+
+
+@pytest.mark.parametrize("name", ["a4_ring", "sd16", "rational_x", "exterior"])
+def test_generator_tables_commute_up_to_the_graded_sign(name):
+    # (b x_i) x_j = +-(b x_j) x_i, the sign being -1 for two odd generators
+    # off characteristic 2
+    ring = _ring(name)
+    for i, di in enumerate(ring.codegrees):
+        for j, dj in enumerate(ring.codegrees):
+            sign = -1 if ring.odd[i] and ring.odd[j] else 1
+            for a in range(9):
+                ij = _table_matrix(ring, j, a + di).mul(_table_matrix(ring, i, a))
+                ji = _table_matrix(ring, i, a + dj).mul(_table_matrix(ring, j, a))
+                signed = Matrix.from_blocks(ring.field, [ji.nrows], [ji.ncols],
+                                            {(0, 0): (sign, ji)})
+                assert ij == signed
