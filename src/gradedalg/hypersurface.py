@@ -45,16 +45,14 @@ class HypersurfaceData:
 
 def _check_kills_module(h, module):
     for j, shift in enumerate(module.gen_shifts):
-        col = module.mult_matrix(h.f, shift)
-        comp_dim = module.dim(shift)
-        if comp_dim == 0:
+        if module.dim(shift) == 0:
             continue
+        col = module.mult_matrix(h.f, shift)
         # column of f * e_j inside the target component
         unit = module.free.scalar_columns(module.ring.pconst(1))[j]
         gen_coords = module.component(shift).reduce(module.free.coords_of(unit, shift))
         z = module.ring.field.zero()
-        image = col.apply([gen_coords.get(k, z) for k in range(comp_dim)])
-        if any(x != z for x in image):
+        if any(x != z for x in col.apply(gen_coords)):
             raise HypersurfaceError("f does not annihilate the module")
 
 
@@ -72,9 +70,7 @@ def _solve_chain_map(target_diff, source_free, target_free, rhs, degree_raise):
     for j, s in enumerate(source_free.shifts):
         n = s + degree_raise
         b = target_diff.target.coords_of([row[j] for row in rhs], n)
-        z = ring.field.zero()
-        sol = target_diff.matrix_at(n).solve(
-            [b.get(k, z) for k in range(target_diff.target.dim(n))])
+        sol = target_diff.matrix_at(n).solve(b)
         if sol is None:
             raise HypersurfaceError("null homotopy system is inconsistent")
         cols.append(target_free.element_of(sol, n))

@@ -131,11 +131,10 @@ class Matrix:
                                        for arow in self.srows], other.ncols)
 
     def apply(self, vec):
-        """Matrix times column vector (a list); returns a list."""
-        if len(vec) != self.ncols:
-            raise ValueError("vector length mismatch")
+        """Matrix times a column vector, a list or a {k: value} dict; returns a list."""
         F = self.field
         add, mul, z = F.add, F.mul, F.zero()
+        vec = self._dense(vec, self.ncols)
         out = []
         for row in self.srows:
             acc = z
@@ -145,6 +144,15 @@ class Matrix:
                     acc = add(acc, mul(a, x))
             out.append(acc)
         return out
+
+    def _dense(self, vec, n):
+        """A length-n vector given as a list or a {k: value} dict, as a list."""
+        if isinstance(vec, dict):
+            z = self.field.zero()
+            return [vec.get(k, z) for k in range(n)]
+        if len(vec) != n:
+            raise ValueError("vector length mismatch")
+        return vec
 
     def is_zero(self):
         return not any(self.srows)
@@ -199,7 +207,8 @@ class Matrix:
         return [self.column(c) for c in pivots]
 
     def solve(self, b):
-        """One solution x of Ax = b, or None if inconsistent.
+        """One solution x of Ax = b (b a list or a {k: value} dict), or None
+        if inconsistent.
 
         The first call eliminates [A | I] once; every b then costs one pass
         over the reduced rows.  A reduced row [r | t] has r = tA, so a row
@@ -207,10 +216,9 @@ class Matrix:
         the others give the solution with every free variable zero, the one
         the reduced form of [A | b] gives.
         """
-        if len(b) != self.nrows:
-            raise ValueError("vector length mismatch")
         F = self.field
         add, mul, z = F.add, F.mul, F.zero()
+        b = self._dense(b, self.nrows)
         n = self.ncols
         if self._solver is None:
             space = RowSpace(F, n + self.nrows)
@@ -333,25 +341,19 @@ class RowSpace:
     def nonpivot_columns(self):
         if self._nonpivots is None:
             self._nonpivots = [c for c in range(self.ncols) if c not in self._rows]
-            self._position = {c: k for k, c in enumerate(self._nonpivots)}
         return self._nonpivots
 
-    def sparse_quotient_coords(self, vec):
+    def quotient_coords(self, vec):
         """Coordinates of `vec` in the quotient by this space, as
         {non-pivot position: value}.
 
         The quotient basis is the set of non-pivot coordinate vectors.
         """
-        self.nonpivot_columns()
+        if self._position is None:
+            self._position = {c: k for k, c in enumerate(self.nonpivot_columns())}
         position = self._position
         # the reduced vector has no pivot column left
         return {position[c]: x for c, x in self._reduced(vec).items()}
-
-    def quotient_coords(self, vec):
-        """sparse_quotient_coords as a dense list."""
-        v = self._reduced(vec)
-        z = self.field.zero()
-        return [v.get(c, z) for c in self.nonpivot_columns()]
 
     def back_substitute(self):
         """Bring the rows to reduced row echelon form; returns the sorted pivots.

@@ -105,14 +105,13 @@ class _KoszulCochainSlice:
 
     def cocycles(self, i):
         """A basis of the kernel of the differential out of cochain degree i,
-        as {position: value} dicts."""
+        as vectors combine() takes: lists, or unit {position: 1} dicts at
+        the top degree, where every cochain is a cocycle."""
         dim_i = self.term_dim(i)
         if dim_i == 0:
             return []
         if i < len(self.elements):
-            z = self.module.ring.field.zero()
-            return [{c: x for c, x in enumerate(v) if x != z}
-                    for v in self.differential(i).kernel_basis()]
+            return self.differential(i).kernel_basis()
         return [{c: self.module.ring.field.one()} for c in range(dim_i)]
 
     def transition_to(self, other, i) -> Matrix:

@@ -67,8 +67,8 @@ class FreeModule:
 
         columns[j] is a homogeneous polynomial vector in the slots of this
         module, so the monomials paired with j share one codegree.  Each
-        (polynomial, codegree) table is built once per call; a generator's
-        comes from the ring's cache.
+        (polynomial, codegree) table is made once per call and computes
+        only the products looked up; a generator's comes from the ring.
         """
         ring = self.ring
         offsets = self.offsets(n)
@@ -78,12 +78,12 @@ class FreeModule:
         for j, mono in pairs:
             if j not in parts:
                 parts[j] = []
+                a = ring.mono_codegree(mono)
                 for i, p in enumerate(columns[j]):
                     if p:
-                        key = (id(p), n - self.shifts[i] - ring.poly_codegree(p))
-                        if key not in tables:
-                            tables[key] = ring.times_table(p, key[1])
-                        parts[j].append((offsets[i], tables[key]))
+                        if (id(p), a) not in tables:
+                            tables[id(p), a] = ring.times_table(p, a)
+                        parts[j].append((offsets[i], tables[id(p), a]))
             v = {}
             for off, table in parts[j]:
                 for k, x in table[mono].items():
@@ -271,7 +271,7 @@ class ModuleComponent:
 
     def reduce(self, free_coords):
         """Free-module coordinates -> module quotient coordinates {position: value}."""
-        return self._span.sparse_quotient_coords(free_coords)
+        return self._span.quotient_coords(free_coords)
 
     def lift(self, coords):
         """Quotient coordinates {position: value} -> a representative in

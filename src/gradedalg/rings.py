@@ -211,18 +211,17 @@ class GradedRing:
         return comp
 
     def times_table(self, p, a):
-        """{b: sparse coordinates in R_(a+|p|) of b * p} for the basis monomials b of R_a.
+        """{b: sparse coordinates in R_(a+|p|) of b * p} for the basis monomials
+        b of R_a, each entry computed on its first lookup.
 
         b multiplies on the left, which fixes the signs of odd generators.
-        Only the tables of the generators are cached here: every free
-        module, resolution stage and module over the ring reuses them.
+        Only the tables of the generators are kept here: every free module,
+        resolution stage and module over the ring reuses them.
         """
         gen = self._generator_of(p)
         if gen is not None and (gen, a) in self._generator_tables:
             return self._generator_tables[gen, a]
-        target = self.component(a + self.poly_codegree(p))
-        table = {b: target.reduce_poly(self.mono_times_poly(b, p))
-                 for b in self.component(a).basis}
+        table = _TimesTable(self, p, self.component(a + self.poly_codegree(p)))
         if gen is not None:
             self._generator_tables[gen, a] = table
         return table
@@ -253,6 +252,20 @@ class GradedRing:
         return f"GradedRing({self.field!r}; {gens}; {len(self.relations)} relations)"
 
 
+class _TimesTable(dict):
+    """GradedRing.times_table: b -> coordinates of b * p, filled on lookup."""
+
+    __slots__ = ("ring", "p", "target")
+
+    def __init__(self, ring, p, target):
+        super().__init__()
+        self.ring, self.p, self.target = ring, p, target
+
+    def __missing__(self, b):
+        coords = self[b] = self.target.reduce_poly(self.ring.mono_times_poly(b, self.p))
+        return coords
+
+
 class RingComponent:
     """Exact basis and reduction data for one codegree of a quotient ring."""
 
@@ -268,7 +281,7 @@ class RingComponent:
     def reduce_poly(self, p):
         """Coordinates {basis position: value} of a codegree-n polynomial."""
         index = self.index
-        return self._span.sparse_quotient_coords({index[mono]: c for mono, c in p.items()})
+        return self._span.quotient_coords({index[mono]: c for mono, c in p.items()})
 
 
 def polynomial_ring(field, names_degrees):

@@ -49,3 +49,11 @@ def test_source_lines_are_counted_like_wc(tmp_path):
     (tmp_path / "src" / "pkg" / "a.py").write_text("x = 1\ny = 2\n")
     (tmp_path / "src" / "pkg" / "notes.txt").write_text("not counted\n")
     assert bench_record.src_lines(str(tmp_path)) == 2
+
+
+def test_pairs_alternate_which_side_runs_first():
+    calls = []
+    parent, change = bench_record.in_pairs(
+        "p", "c", "label", lambda checkout, k: calls.append((checkout, k)) or k)
+    assert parent == change == list(range(bench_record.PAIRS))
+    assert calls[:4] == [("p", 0), ("c", 0), ("c", 1), ("p", 1)]

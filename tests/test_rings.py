@@ -90,7 +90,7 @@ def test_sd16_hilbert_prefix_at_macaulay_scale():
 def _table_matrix(ring, i, a):
     """Multiplication by generator i, R_a -> R_(a + |x_i|), from its table."""
     table = ring.times_table(ring.gen_poly(i), a)
-    return Matrix.from_columns(ring.field, list(table.values()),
+    return Matrix.from_columns(ring.field, [table[b] for b in ring.component(a).basis],
                                ring.dim(a + ring.codegrees[i]))
 
 
@@ -108,12 +108,17 @@ def test_generator_tables_match_products_column_by_column(name):
         for a in range(11):
             table = ring.times_table(x, a)
             assert ring.times_table(x, a) is table  # cached on the ring
-            assert list(table) == ring.component(a).basis
+            assert not table  # entries are computed on lookup
             target = ring.component(a + d)
-            for b in table:
+            for b in ring.component(a).basis:
                 assert table[b] == target.reduce_poly(ring.mono_times_poly(b, x))
+            assert list(table) == ring.component(a).basis
     square = ring.pmul(ring.gen_poly(0), ring.gen_poly(0))
     assert ring.times_table(square, 2) is not ring.times_table(square, 2)
+    table, b = ring.times_table(square, 2), ring.component(2).basis[-1]
+    assert table[b] == ring.component(2 + 2 * ring.codegrees[0]).reduce_poly(
+        ring.mono_times_poly(b, square))
+    assert list(table) == [b]  # only the product looked up was computed
 
 
 def test_generator_tables_multiply_with_the_monomial_on_the_left():

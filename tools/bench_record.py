@@ -4,10 +4,11 @@ Usage, from the repository root, with the parent commit checked out
 elsewhere (git clone or git archive, not a worktree):
 
     python3 tools/bench_record.py --parent ../parent --change . \
-        --pairs 10 --seconds 40 --seeds 1 13 --out BENCH_6.json
+        --seeds 1 13 --out BENCH_6.json
 
-For each workload it runs `bench/run.py --trace 0` in pairs, one run on
-each checkout.  The order inside a pair alternates (parent first, then
+For each workload of the change's BENCHMARK.json it runs
+`bench/run.py --trace 0` at the benchmark's run length in ten pairs, one
+run on each checkout.  The order inside a pair alternates (parent first, then
 change first) and the seeds take turns two pairs at a time, so drift in
 the machine's speed, the order and the seed fall on both sides alike.
 The file holds, per workload and side, each end-to-end metric's median,
@@ -16,8 +17,10 @@ pairs the change won and two verdicts: `gain`, when the change won at
 least nine tenths of the pairs and the medians differ by more than the
 parent's interquartile range, and `within_bound`, when the change's
 median is no worse than the parent's by more than the relative bound in
-the change's BENCHMARK.json.  Then come, for each side, the tier-1 wall
-time, the seconds of each preset_run and the `wc -l` line count of src/.
+the change's BENCHMARK.json.  The seconds of every preset_run are timed
+the same way, ten alternating pairs of fresh processes, and kept with
+their medians, quartiles, runs and the pairs the change won.  Then come,
+for each side, the tier-1 wall time and the `wc -l` line count of src/.
 Standard library only.
 """
 
@@ -32,7 +35,7 @@ import subprocess
 import sys
 import time
 
-WORKLOADS = ("presented-rings", "syzygies", "squeezed-groups")
+PAIRS = 10  # the fewest pairs a claimed gain is judged on
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
 
@@ -114,6 +117,17 @@ def preset_seconds(checkout):
     return json.loads(out.stdout)
 
 
+def in_pairs(parent, change, label, measure):
+    """measure(checkout, k) for k < PAIRS on both checkouts, the side that
+    runs first alternating from pair to pair: (parent runs, change runs)."""
+    runs = ([], [])
+    for k in range(PAIRS):
+        for side in ((0, 1) if k % 2 == 0 else (1, 0)):
+            runs[side].append(measure((parent, change)[side], k))
+        print(f"{label}: pair {k + 1}/{PAIRS}", file=sys.stderr)
+    return runs
+
+
 def src_lines(checkout):
     """Total `wc -l` over the Python files under src/."""
     total = 0
@@ -129,42 +143,41 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="checkout of the parent commit")
     parser.add_argument("--change", required=True, help="checkout of the change")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=40)
     parser.add_argument("--seeds", type=int, nargs="+", default=[1])
-    parser.add_argument("--workloads", nargs="+", default=list(WORKLOADS))
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
-        bounds = {m["name"]: m["bound"] for m in json.load(fh)["end_to_end"]}
+        benchmark = json.load(fh)
+    seconds = benchmark["run_seconds"]
+    bounds = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
 
     record = {
         "command": "python3 bench/run.py --workload W --seed S --seconds T --trace 0",
-        "seconds": args.seconds,
-        "pairs": args.pairs,
+        "seconds": seconds,
+        "pairs": PAIRS,
         "seeds": args.seeds,
         "machine": {"cpus": os.cpu_count(), "python": platform.python_version(),
                     "platform": platform.platform()},
         "workloads": {},
     }
-    for workload in args.workloads:
-        sides = {"parent": [], "change": []}
-        for k in range(args.pairs):
-            seed = args.seeds[k // 2 % len(args.seeds)]
-            order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-            for side in order:
-                checkout = args.parent if side == "parent" else args.change
-                sides[side].append(bench_run(checkout, workload, seed, args.seconds))
-            print(f"{workload} pair {k + 1}/{args.pairs} seed {seed}: wall_s "
-                  f"{sides['parent'][-1]['metrics']['wall_s']['value']:.3f} -> "
-                  f"{sides['change'][-1]['metrics']['wall_s']['value']:.3f}", file=sys.stderr)
+    for workload in (w["name"] for w in benchmark["workloads"]):
+        parent, change = in_pairs(
+            args.parent, args.change, workload,
+            lambda checkout, k: bench_run(
+                checkout, workload, args.seeds[k // 2 % len(args.seeds)], seconds))
         record["workloads"][workload] = {
-            "parent": summarize_side(sides["parent"]),
-            "change": summarize_side(sides["change"]),
-            "verdicts": verdicts(sides["parent"], sides["change"], bounds),
+            "parent": summarize_side(parent),
+            "change": summarize_side(change),
+            "verdicts": verdicts(parent, change, bounds),
         }
-    for key, measure in (("tier1", tier1), ("preset_seconds", preset_seconds),
-                         ("src_lines", src_lines)):
+    parent, change = in_pairs(args.parent, args.change, "presets",
+                              lambda checkout, k: preset_seconds(checkout))
+    record["preset_seconds"] = {
+        name: {"parent": summarize([r[name] for r in parent]),
+               "change": summarize([r[name] for r in change]),
+               "change_won_pairs": sum(c[name] < p[name] for p, c in zip(parent, change))}
+        for name in parent[0]}
+    for key, measure in (("tier1", tier1), ("src_lines", src_lines)):
         record[key] = {"parent": measure(args.parent), "change": measure(args.change)}
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=1)
