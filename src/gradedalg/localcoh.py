@@ -4,9 +4,10 @@ Two independent routes are provided.
 
 cech_table computes the stable Koszul (Cech) cohomology as a colimit of
 finite-level Koszul cochain complexes on powers of the ideal generators.
-Each degreewise dimension comes with a stabilization certificate: the
-rank of the composite transition map between levels must be constant
-over a sliding window before the value is reported as exact.
+Each degreewise dimension is reported with a "certified" flag: the rank
+of the composite transition map between levels was equal over `window`
+consecutive level steps.  That is a stopping rule, not a proof that the
+colimit has stabilized.
 
 duality_table computes the same dimensions through graded duality over
 a polynomial subring: H^i in codegree n has the dimension of
@@ -58,15 +59,52 @@ class CohomologyTable:
         return f"CohomologyTable({self.method}; {rows})"
 
 
-class _KoszulCochainSlice:
-    """The codegree-n slice of the Koszul cochain complex on alpha_j^{s_j}."""
+class _PowerBlocks:
+    """Multiplication by a^e = prod_j a_j^(e_j) from module codegree m, each
+    block built once.
 
-    def __init__(self, module, elements, codegrees, levels, n):
+    e is an exponent vector on the ideal generators a_j.  Every Cech
+    differential block and every transition block is one of these, so the
+    slices of one cech_table call share a single instance.  The factors of
+    a^e are multiplied in increasing j, which fixes the signs of odd
+    elements.  A zero power (a nilpotent raised past its order) gives None,
+    a missing block.
+    """
+
+    def __init__(self, module, elements):
+        self.module = module
+        self.elements = elements
+        self._powers = {}   # e -> (polynomial a^e, its key)
+        self._blocks = {}   # (polynomial key, m) -> Matrix or None
+
+    def block(self, e, m):
+        if e not in self._powers:
+            ring = self.module.ring
+            p = ring.pconst(1)
+            for a, k in zip(self.elements, e):
+                if k:
+                    p = ring.pmul(p, ring.ppow(a, k))
+            self._powers[e] = (p, frozenset(p.items()))
+        p, key = self._powers[e]
+        if (key, m) not in self._blocks:
+            self._blocks[key, m] = self.module.mult_matrix(p, m) if p else None
+        return self._blocks[key, m]
+
+
+class _KoszulCochainSlice:
+    """The codegree-n slice of the Koszul cochain complex on alpha_j^{s_j}.
+
+    Blocks come from `blocks`, a _PowerBlocks shared with other slices on
+    the same module and elements; a slice made without one has its own.
+    """
+
+    def __init__(self, module, elements, codegrees, levels, n, blocks=None):
         self.module = module
         self.elements = elements
         self.codegrees = codegrees
         self.levels = tuple(levels)
         self.n = n
+        self.blocks = blocks if blocks is not None else _PowerBlocks(module, elements)
         c = len(elements)
         self.subsets = [list(combinations(range(c), i)) for i in range(c + 1)]
         self._diffs = {}
@@ -85,21 +123,22 @@ class _KoszulCochainSlice:
         """The map from cochain degree i to i + 1."""
         if i in self._diffs:
             return self._diffs[i]
-        ring = self.module.ring
+        c = len(self.elements)
         tgt_index = {S: k for k, S in enumerate(self.subsets[i + 1])}
         blocks = {}
         for k, S in enumerate(self.subsets[i]):
-            for l in range(len(self.elements)):
+            for l in range(c):
                 if l in S:
                     continue
-                power = ring.ppow(self.elements[l], self.levels[l])
-                if not power:
-                    continue  # a nilpotent generator raised past its order
+                e = tuple(self.levels[l] if j == l else 0 for j in range(c))
+                block = self.blocks.block(e, self.subset_degree(S))
+                if block is None:
+                    continue
                 T = tuple(sorted(S + (l,)))
                 sign = -1 if sum(1 for x in S if x < l) % 2 else 1
-                blocks[tgt_index[T], k] = (
-                    sign, self.module.mult_matrix(power, self.subset_degree(S)))
-        m = Matrix.from_blocks(ring.field, self.sizes(i + 1), self.sizes(i), blocks)
+                blocks[tgt_index[T], k] = (sign, block)
+        m = Matrix.from_blocks(self.module.ring.field, self.sizes(i + 1),
+                               self.sizes(i), blocks)
         self._diffs[i] = m
         return m
 
@@ -116,17 +155,15 @@ class _KoszulCochainSlice:
 
     def transition_to(self, other, i) -> Matrix:
         """Chain map slice induced by raising levels (multiply by the gaps)."""
-        ring = self.module.ring
         blocks = {}
         for k, S in enumerate(self.subsets[i]):
-            gap = ring.pconst(1)
-            for j in S:
-                delta = other.levels[j] - self.levels[j]
-                if delta:
-                    gap = ring.pmul(gap, ring.ppow(self.elements[j], delta))
-            if gap:
-                blocks[k, k] = (1, self.module.mult_matrix(gap, self.subset_degree(S)))
-        return Matrix.from_blocks(ring.field, other.sizes(i), self.sizes(i), blocks)
+            e = tuple(other.levels[j] - self.levels[j] if j in S else 0
+                      for j in range(len(self.elements)))
+            block = self.blocks.block(e, self.subset_degree(S))
+            if block is not None:
+                blocks[k, k] = (1, block)
+        return Matrix.from_blocks(self.module.ring.field, other.sizes(i),
+                                  self.sizes(i), blocks)
 
 
 def _induced_rank(low, high, i):
@@ -151,10 +188,17 @@ def cech_table(module, elements, degrees=None, stab_bound=16, buffer=8,
                window=3) -> CohomologyTable:
     """Degreewise local cohomology at the ideal the elements generate.
 
-    Each cell is certified by computing the rank of the composite
-    transition across two level steps and requiring `window` consecutive
-    equal values.  Cells that never stabilize inside stab_bound are
-    reported with their last rank and certified=False.
+    Each cell is the rank of the composite transition across two level
+    steps, and it is marked certified once `window` consecutive level
+    steps give equal ranks.  That is a stopping rule, not a proof that
+    the colimit has stabilized.  Cells that never reach it inside
+    stab_bound are reported with their last rank and certified=False.
+
+    Every differential and transition block is multiplication by a
+    product of powers of the elements from one module codegree.  One
+    _PowerBlocks per call builds each such polynomial and each block
+    once for all slices, and goes when the call returns.  Slices are
+    dropped once their codegree n is done.
     """
     ring = module.ring
     elements = list(elements)
@@ -169,23 +213,25 @@ def cech_table(module, elements, degrees=None, stab_bound=16, buffer=8,
     degrees = list(degrees)
     c = len(elements)
     table = CohomologyTable(degrees, c, "cech")
-    slices = {}
-
-    def get_slice(levels, n):
-        key = (tuple(levels), n)
-        if key not in slices:
-            slices[key] = _KoszulCochainSlice(module, elements, codegs, levels, n)
-        return slices[key]
+    blocks = _PowerBlocks(module, elements)
 
     for n in degrees:
+        slices = {}  # levels -> slice at this n
+
+        def get_slice(levels):
+            if levels not in slices:
+                slices[levels] = _KoszulCochainSlice(module, elements, codegs,
+                                                     levels, n, blocks)
+            return slices[levels]
+
         base = [max(1, -((n - buffer) // d)) for d in codegs]
         for i in range(c + 1):
             ranks = []
             value = None
             certified = False
             for t in range(stab_bound):
-                lo = get_slice([b + t for b in base], n)
-                hi = get_slice([b + t + 2 for b in base], n)
+                lo = get_slice(tuple(b + t for b in base))
+                hi = get_slice(tuple(b + t + 2 for b in base))
                 ranks.append(_induced_rank(lo, hi, i))
                 if len(ranks) >= window and len(set(ranks[-window:])) == 1:
                     value = ranks[-1]
@@ -249,10 +295,12 @@ def duality_table(module, degrees=None) -> CohomologyTable:
     d = ring.ngens
     sigma = sum(ring.codegrees)
     # the window only probes Ext codegrees -n - sigma; keep the resolution
-    # scan just big enough to cover them and witness completion
+    # scan just big enough to cover them and witness completion, and never
+    # below a generator or relation of the module
     needed = max(-n - sigma for n in degrees)
     top_shift = max(module.gen_shifts) if module.gen_shifts else 0
-    codegree_max = max(needed, 0) + sigma + max(top_shift, 0) + 4
+    codegree_max = max(max(needed, 0) + sigma + max(top_shift, 0) + 4,
+                       module.presentation_codegree())
     ext = ext_dims(module, codegree_max=codegree_max)
     table = CohomologyTable(degrees, d, "duality")
     for i in range(d + 1):

@@ -247,6 +247,10 @@ class GradedModule:
     def min_degree(self):
         return min(self.gen_shifts) if self.gen_shifts else 0
 
+    def presentation_codegree(self):
+        """The largest codegree of a generator or a relation column."""
+        return max([*self.gen_shifts, *(d for d, _ in self.rel_columns)], default=0)
+
     def mult_matrix(self, poly, n) -> Matrix:
         """Multiplication by a homogeneous polynomial: M^n -> M^(n+|poly|)."""
         ring = self.ring

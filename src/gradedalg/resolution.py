@@ -144,19 +144,27 @@ def _kernel_generators(diff, source: FreeModule, codegree_max):
         if not kb:
             continue
         any_kernel = True
+        # x_i times the kernel below lies in ker_n (diff is a module map),
+        # so once these products span len(kb) dimensions they span ker_n
+        # and no generator appears here
         span = RowSpace(F, dim_n)
         for i in range(ring.ngens):
+            if span.dim == len(kb):
+                break
             dx = ring.codegrees[i]
             lower = kernels.get(n - dx)
             if not lower:
                 continue
-            # x_i times the kernel below, combined from the sparse images
-            # of x_i times each basis vector
+            # combined from the sparse images of x_i times each basis vector
             cols = source.images(source.basis(n - dx),
                                  source.scalar_columns(ring.gen_poly(i)), n)
             for v in lower:
                 span.insert(combine(F, cols, v))
+                if span.dim == len(kb):
+                    break
         for v in kb:
+            if span.dim == len(kb):
+                break
             if span.insert(v):
                 gens.append((n, v, source.element_of(v, n)))
     return gens, any_kernel
@@ -167,10 +175,13 @@ def minimal_resolution(module: GradedModule, h_max=12, codegree_max=24) -> Resol
 
     Betti entries are exact for codegrees <= codegree_max; the table's
     `complete` flag is set when some kernel vanished identically inside
-    the window (finite projective dimension witnessed there).
+    the window (finite projective dimension witnessed there), and only
+    when the window reaches every generator and relation of M: a kernel
+    that vanishes below a relation says nothing about it.
     """
     ring = module.ring
     betti = BettiTable(h_max, codegree_max)
+    covers_presentation = codegree_max >= module.presentation_codegree()
     if not module.rel_columns:
         # already free on its listed generators: the identity resolves it
         F0 = FreeModule(ring, list(module.gen_shifts))
@@ -182,8 +193,9 @@ def minimal_resolution(module: GradedModule, h_max=12, codegree_max=24) -> Resol
                           _MapToModule(module, F0, F0.scalar_columns(ring.pconst(1))), betti)
     gens0 = _minimal_generators_of_module(module, codegree_max)
     if not gens0:
-        betti.complete = True
-        betti.length = -1
+        if covers_presentation:
+            betti.complete = True
+            betti.length = -1
         F0 = FreeModule(ring, [])
         return Resolution(module, [F0], [], _MapToModule(module, F0, []), betti)
     F0 = FreeModule(ring, [d for d, _ in gens0])
@@ -196,7 +208,7 @@ def minimal_resolution(module: GradedModule, h_max=12, codegree_max=24) -> Resol
     for i in range(1, h_max + 1):
         gens, any_kernel = _kernel_generators(current, frees[-1], codegree_max)
         if not gens:
-            if not any_kernel:
+            if not any_kernel and covers_presentation:
                 betti.complete = True
                 betti.length = i - 1
             break

@@ -36,7 +36,7 @@ class GradedRing:
         # odd-degree generators pick up signs except in characteristic 2
         self.signed = field.char != 2
         self.odd = tuple(d % 2 == 1 and self.signed for d in self.codegrees)
-        self._mono_cache = {}
+        self._suffix_cache = {}  # (generator index, codegree) -> monomial suffixes
         self._component_cache = {}
         self._generator_tables = {}  # (generator, codegree) -> times_table
         self.relations = []
@@ -164,30 +164,26 @@ class GradedRing:
     # -- monomial bases -------------------------------------------------
 
     def monomials(self, n):
-        """All monomials of codegree n (odd generators capped at exponent 1)."""
+        """All monomials of codegree n (odd generators capped at exponent 1),
+        in lexicographic order of their exponent tuples."""
         if n < 0:
             return []
-        if n in self._mono_cache:
-            return self._mono_cache[n]
-        out = []
+        return self._suffixes(0, n)
 
-        def rec(i, remaining, expo):
+    def _suffixes(self, i, r):
+        """The exponent tuples of generators i, i+1, ... of total codegree r,
+        each list built once from those of generator i + 1."""
+        key = (i, r)
+        if key not in self._suffix_cache:
             if i == self.ngens:
-                if remaining == 0:
-                    out.append(tuple(expo))
-                return
-            d = self.codegrees[i]
-            emax = remaining // d
-            if self.odd[i]:
-                emax = min(emax, 1)
-            for e in range(emax + 1):
-                expo.append(e)
-                rec(i + 1, remaining - e * d, expo)
-                expo.pop()
-
-        rec(0, n, [])
-        self._mono_cache[n] = out
-        return out
+                out = [()] if r == 0 else []
+            else:
+                d = self.codegrees[i]
+                emax = min(r // d, 1) if self.odd[i] else r // d
+                out = [(e,) + rest for e in range(emax + 1)
+                       for rest in self._suffixes(i + 1, r - e * d)]
+            self._suffix_cache[key] = out
+        return self._suffix_cache[key]
 
     # -- degreewise components -------------------------------------------
 

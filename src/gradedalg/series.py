@@ -319,12 +319,6 @@ class SeriesExpr:
             v *= Fraction(t0) ** self.shift if self.shift > 0 else 1 / Fraction(t0) ** (-self.shift)
         return v
 
-    def has_pole_at(self, t0):
-        t0 = Fraction(t0)
-        if self.den.evaluate(t0) == 0:
-            return True
-        return t0 == 0 and self.shift < 0
-
     def to_str(self):
         num = self._num_shifted()
         if num.is_zero():

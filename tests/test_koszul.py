@@ -2,7 +2,7 @@ from hypothesis import given, settings, strategies as st
 
 from gradedalg.fields import PrimeField, Rationals
 from gradedalg.koszul import KoszulComplex, koszul_homology, is_regular_sequence
-from gradedalg.localcoh import _KoszulCochainSlice
+from gradedalg.localcoh import _KoszulCochainSlice, _PowerBlocks, cech_table
 from gradedalg.modules import GradedModule
 from gradedalg.parsing import parse_poly, ring_with_relations
 
@@ -98,3 +98,49 @@ def test_random_cech_slices_are_complexes_and_transitions_are_chain_maps(K, data
     for i in range(K.c):
         assert (lo.transition_to(hi, i + 1).mul(lo.differential(i))
                 == hi.differential(i).mul(lo.transition_to(hi, i)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_complexes(), st.data())
+def test_slices_sharing_blocks_match_standalone_slices(K, data):
+    # several slices at nearby levels and codegrees take their blocks from
+    # one cache, in a drawn order, so later slices reuse earlier blocks
+    levels = st.lists(st.integers(1, 3), min_size=K.c, max_size=K.c)
+    specs = data.draw(st.lists(st.tuples(levels, st.integers(-2, 2)),
+                               min_size=2, max_size=4))
+    shared = _PowerBlocks(K.module, K.elements)
+    for low, n in specs:
+        high = [s + 1 for s in low]
+        pairs = [(_KoszulCochainSlice(K.module, K.elements, K.codegrees, s, n, shared),
+                  _KoszulCochainSlice(K.module, K.elements, K.codegrees, s, n))
+                 for s in (low, high)]
+        for a, b in pairs:
+            for i in range(K.c):
+                assert a.differential(i) == b.differential(i)
+        (lo_a, lo_b), (hi_a, hi_b) = pairs
+        for i in range(K.c + 1):
+            assert lo_a.transition_to(hi_a, i) == lo_b.transition_to(hi_b, i)
+
+
+def test_one_cech_table_builds_each_multiplication_block_once(monkeypatch):
+    ring = ring_with_relations(F2, [("x", 1), ("y", 1)], ["x^2*y"])
+    x, y = parse_poly("x", ring), parse_poly("y", ring)
+    module = GradedModule.ring_as_module(ring)
+    calls = []
+    original = GradedModule.mult_matrix
+
+    def counted(self, poly, n):
+        calls.append((frozenset(poly.items()), n))
+        return original(self, poly, n)
+
+    monkeypatch.setattr(GradedModule, "mult_matrix", counted)
+    # x^2 is also x squared, so two exponent vectors give one polynomial
+    for elements in ([x, y], [x, ring.pmul(x, x), y]):
+        calls.clear()
+        cech_table(module, elements, range(-3, 2), stab_bound=6)
+        assert calls and len(calls) == len(set(calls))
+        # nothing is kept past the call: a second one builds the same blocks
+        first = list(calls)
+        calls.clear()
+        cech_table(module, elements, range(-3, 2), stab_bound=6)
+        assert calls == first

@@ -129,3 +129,17 @@ def test_certified_cells_independent_of_stabilization_window(mw, window):
         for i in (0, 1):
             assert base.dim(i, n) == other.dim(i, n)
     assert base.all_certified() and other.all_certified()
+
+
+def test_duality_window_covers_the_relations():
+    # k[x,y]/(x^30) has dimension 1, so H^2 vanishes; a resolution window
+    # that stops below the relation's codegree 30 reported H^2 = 3, 2, 1
+    # at n = -4, -3, -2
+    ring = ring_with_relations(F2, [("x", 1), ("y", 1)], [])
+    m = GradedModule(ring, [0], [[parse_poly("x^30", ring)]])
+    table = duality_table(m, range(-4, 3))
+    assert all(table.dim(2, n) == 0 for n in range(-4, 3))
+    # H^1 = k[x]/(x^30) (x) y^-1 k[y^-1]: the classes x^a y^-b with
+    # 0 <= a < 30, b >= 1 and a - b = n
+    assert [table.dim(1, n) for n in range(-4, 3)] == [30, 30, 30, 30, 29, 28, 27]
+    assert all(table.dim(0, n) == 0 for n in range(-4, 3))

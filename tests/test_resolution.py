@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gradedalg.fields import PrimeField
+from gradedalg.fields import PrimeField, Rationals
 from gradedalg.modules import GradedModule
 from gradedalg.parsing import ring_with_relations
 from gradedalg.presets import get_preset
@@ -113,3 +113,69 @@ def test_semidihedral_residue_field_resolution():
     ring = get_preset("sd16").build_ring()
     res = minimal_resolution(GradedModule.residue_field(ring), h_max=5, codegree_max=16)
     assert res.betti.totals() == [1, 4, 10, 24, 58, 140]
+
+
+def _x30_module():
+    # k[x,y]/(x^30): projective dimension 1, its relation in codegree 30
+    ring = ring_with_relations(F2, [("x", 1), ("y", 1)], [])
+    return GradedModule(ring, [0], [[ring.ppow(ring.gen_poly(0), 30)]])
+
+
+def test_window_below_a_relation_does_not_claim_completion():
+    res = minimal_resolution(_x30_module(), codegree_max=24)
+    assert not res.betti.complete
+
+
+def test_window_covering_the_relations_resolves_the_module():
+    res = minimal_resolution(_x30_module(), codegree_max=30)
+    assert res.betti.complete and res.betti.length == 1
+    assert res.betti.totals() == [1, 1]
+    assert res.betti.graded(1) == {30: 1}
+
+
+# polynomial rings: no relations, and no odd generator outside characteristic 2
+_polynomial_recipes = st.sampled_from([
+    (F2, [("x", 1)]),
+    (F2, [("x", 1), ("y", 1)]),
+    (F2, [("x", 1), ("y", 2)]),
+    (F2, [("x", 1), ("y", 1), ("z", 1)]),
+    (PrimeField(3), [("x", 2), ("y", 2)]),
+    (Rationals(), [("u", 2), ("v", 4)]),
+])
+
+
+@st.composite
+def _polynomial_modules(draw):
+    field, gens = draw(_polynomial_recipes)
+    ring = ring_with_relations(field, gens, [])
+    shifts = draw(st.lists(st.integers(-1, 1), min_size=1, max_size=2))
+    cols = []
+    for _ in range(draw(st.integers(0, 3))):
+        top = draw(st.integers(max(shifts) + 1, max(shifts) + 4))
+        col = []
+        for s in shifts:
+            monos = ring.monomials(top - s)
+            picked = draw(st.lists(st.sampled_from(monos), max_size=2)) if monos else []
+            col.append({m: field.from_int(draw(st.integers(1, 4))) for m in picked})
+        cols.append(col)
+    return GradedModule(ring, shifts, cols)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_polynomial_modules(), st.integers(5, 8))
+def test_betti_numbers_satisfy_the_euler_identity_over_polynomial_rings(module, cmax):
+    # sum_i (-1)^i beta_(i,j) t^j = H_M(t) * prod_k (1 - t^(d_k)) in every
+    # codegree j <= cmax; h_max past the projective dimension bound keeps
+    # every stage that can reach a codegree inside the window
+    ring = module.ring
+    betti = minimal_resolution(module, h_max=ring.ngens + 1, codegree_max=cmax).betti
+    factor = {0: 1}  # prod_k (1 - t^(d_k)), exponent -> coefficient
+    for d in ring.codegrees:
+        nxt = dict(factor)
+        for e, c in factor.items():
+            nxt[e + d] = nxt.get(e + d, 0) - c
+        factor = nxt
+    for j in range(module.min_degree(), cmax + 1):
+        lhs = sum((-1) ** i * c for (i, n), c in betti.entries.items() if n == j)
+        rhs = sum(c * module.dim(j - e) for e, c in factor.items())
+        assert lhs == rhs, j

@@ -143,3 +143,47 @@ def test_generator_tables_commute_up_to_the_graded_sign(name):
                 signed = Matrix.from_blocks(ring.field, [ji.nrows], [ji.ncols],
                                             {(0, 0): (sign, ji)})
                 assert ij == signed
+
+
+def _monomials_by_recursion(ring, n):
+    """The enumeration GradedRing.monomials replaced, kept as the reference
+    for its order: one fresh recursion over the generators per codegree."""
+    out = []
+
+    def rec(i, remaining, expo):
+        if i == ring.ngens:
+            if remaining == 0:
+                out.append(tuple(expo))
+            return
+        d = ring.codegrees[i]
+        emax = remaining // d
+        if ring.odd[i]:
+            emax = min(emax, 1)
+        for e in range(emax + 1):
+            expo.append(e)
+            rec(i + 1, remaining - e * d, expo)
+            expo.pop()
+
+    rec(0, n, [])
+    return out
+
+
+def _preset_rings():
+    from gradedalg.presets import preset_names
+    for name in preset_names():
+        p = get_preset(name)
+        if p.build_ring() is not None:
+            yield name, p.build_ring()
+        for payload in (p.norm, p.module):
+            if payload is not None:
+                yield name, p.build_module(payload).ring
+
+
+def test_monomials_keep_the_order_of_the_recursion_on_every_preset_ring():
+    seen = 0
+    for name, ring in _preset_rings():
+        # from the top down, so the first call builds every suffix list
+        for n in range(24, -3, -1):
+            assert ring.monomials(n) == _monomials_by_recursion(ring, n), (name, n)
+        seen += 1
+    assert seen >= 11
