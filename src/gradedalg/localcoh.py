@@ -90,6 +90,10 @@ class _PowerBlocks:
             self._blocks[key, m] = self.module.mult_matrix(p, m) if p else None
         return self._blocks[key, m]
 
+    def drop_below(self, m):
+        """Forget the blocks out of module codegrees below m."""
+        self._blocks = {k: v for k, v in self._blocks.items() if k[1] >= m}
+
 
 class _KoszulCochainSlice:
     """The codegree-n slice of the Koszul cochain complex on alpha_j^{s_j}.
@@ -198,7 +202,8 @@ def cech_table(module, elements, degrees=None, stab_bound=16, buffer=8,
     product of powers of the elements from one module codegree.  One
     _PowerBlocks per call builds each such polynomial and each block
     once for all slices, and goes when the call returns.  Slices are
-    dropped once their codegree n is done.
+    dropped once their codegree n is done, and blocks once their source
+    codegree is below every n still to do.
     """
     ring = module.ring
     elements = list(elements)
@@ -215,7 +220,7 @@ def cech_table(module, elements, degrees=None, stab_bound=16, buffer=8,
     table = CohomologyTable(degrees, c, "cech")
     blocks = _PowerBlocks(module, elements)
 
-    for n in degrees:
+    for k, n in enumerate(degrees):
         slices = {}  # levels -> slice at this n
 
         def get_slice(levels):
@@ -240,6 +245,9 @@ def cech_table(module, elements, degrees=None, stab_bound=16, buffer=8,
             if value is None:
                 value = ranks[-1]
             table.set(i, n, value, certified)
+        # a slice at codegree n uses blocks out of codegrees >= n only
+        if k + 1 < len(degrees):
+            blocks.drop_below(min(degrees[k + 1:]))
     return table
 
 

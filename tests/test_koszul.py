@@ -134,13 +134,15 @@ def test_one_cech_table_builds_each_multiplication_block_once(monkeypatch):
         return original(self, poly, n)
 
     monkeypatch.setattr(GradedModule, "mult_matrix", counted)
-    # x^2 is also x squared, so two exponent vectors give one polynomial
+    # x^2 is also x squared, so two exponent vectors give one polynomial;
+    # blocks are dropped as the codegrees are done, in any order
     for elements in ([x, y], [x, ring.pmul(x, x), y]):
-        calls.clear()
-        cech_table(module, elements, range(-3, 2), stab_bound=6)
-        assert calls and len(calls) == len(set(calls))
-        # nothing is kept past the call: a second one builds the same blocks
-        first = list(calls)
-        calls.clear()
-        cech_table(module, elements, range(-3, 2), stab_bound=6)
-        assert calls == first
+        for degrees in (range(-3, 2), [1, -3, 0, -2, -1]):
+            calls.clear()
+            cech_table(module, elements, degrees, stab_bound=6)
+            assert calls and len(calls) == len(set(calls))
+            # nothing is kept past the call: a second one builds the same blocks
+            first = list(calls)
+            calls.clear()
+            cech_table(module, elements, degrees, stab_bound=6)
+            assert calls == first
