@@ -74,21 +74,17 @@ class _PowerBlocks:
     def __init__(self, module, elements):
         self.module = module
         self.elements = elements
-        self._powers = {}   # e -> (polynomial a^e, its key)
-        self._blocks = {}   # (polynomial key, m) -> Matrix or None
+        self._blocks = {}   # (e, m) -> Matrix or None
 
     def block(self, e, m):
-        if e not in self._powers:
+        if (e, m) not in self._blocks:
             ring = self.module.ring
             p = ring.pconst(1)
             for a, k in zip(self.elements, e):
                 if k:
                     p = ring.pmul(p, ring.ppow(a, k))
-            self._powers[e] = (p, frozenset(p.items()))
-        p, key = self._powers[e]
-        if (key, m) not in self._blocks:
-            self._blocks[key, m] = self.module.mult_matrix(p, m) if p else None
-        return self._blocks[key, m]
+            self._blocks[e, m] = self.module.mult_matrix(p, m) if p else None
+        return self._blocks[e, m]
 
     def drop_below(self, m):
         """Forget the blocks out of module codegrees below m."""
@@ -98,17 +94,17 @@ class _PowerBlocks:
 class _KoszulCochainSlice:
     """The codegree-n slice of the Koszul cochain complex on alpha_j^{s_j}.
 
-    Blocks come from `blocks`, a _PowerBlocks shared with other slices on
-    the same module and elements; a slice made without one has its own.
+    Blocks come from `blocks`, a _PowerBlocks shared with the other slices
+    on the same module and elements.
     """
 
-    def __init__(self, module, elements, codegrees, levels, n, blocks=None):
+    def __init__(self, module, elements, codegrees, levels, n, blocks):
         self.module = module
         self.elements = elements
         self.codegrees = codegrees
         self.levels = tuple(levels)
         self.n = n
-        self.blocks = blocks if blocks is not None else _PowerBlocks(module, elements)
+        self.blocks = blocks
         c = len(elements)
         self.subsets = [list(combinations(range(c), i)) for i in range(c + 1)]
         self._diffs = {}
@@ -200,10 +196,10 @@ def cech_table(module, elements, degrees=None, stab_bound=16, buffer=8,
 
     Every differential and transition block is multiplication by a
     product of powers of the elements from one module codegree.  One
-    _PowerBlocks per call builds each such polynomial and each block
-    once for all slices, and goes when the call returns.  Slices are
-    dropped once their codegree n is done, and blocks once their source
-    codegree is below every n still to do.
+    _PowerBlocks per call, keyed by exponent vector and source codegree,
+    builds each block once for all slices, and goes when the call
+    returns.  Slices are dropped once their codegree n is done, and
+    blocks once their source codegree is below every n still to do.
     """
     ring = module.ring
     elements = list(elements)

@@ -2,6 +2,7 @@ from hypothesis import given, settings, strategies as st
 
 from gradedalg.fields import PrimeField, Rationals
 from gradedalg.koszul import KoszulComplex, koszul_homology, is_regular_sequence
+from gradedalg.linalg import Matrix
 from gradedalg.localcoh import _KoszulCochainSlice, _PowerBlocks, cech_table
 from gradedalg.modules import GradedModule
 from gradedalg.parsing import parse_poly, ring_with_relations
@@ -58,16 +59,25 @@ _recipes = st.sampled_from([
 ])
 
 
+# odd generators over a field of odd characteristic anticommute, so the
+# order in which a^e multiplies its factors shows in the signs
+_signed_recipes = st.sampled_from([
+    (PrimeField(3), [("x", 1), ("y", 1), ("z", 2)], []),
+    (Rationals(), [("x", 1), ("y", 1)], []),
+])
+
+
 @st.composite
-def _complexes(draw):
-    field, gens, rels = draw(_recipes)
+def _complexes(draw, recipes=_recipes):
+    field, gens, rels = draw(recipes)
     ring = ring_with_relations(field, gens, rels)
     nelts = draw(st.integers(1, 3))
     elements = []
     for _ in range(nelts):
         i = draw(st.integers(0, ring.ngens - 1))
         e = draw(st.integers(1, 2))
-        elements.append(ring.ppow(ring.gen_poly(i), e))
+        # an odd generator squares to zero; keep it to the first power
+        elements.append(ring.ppow(ring.gen_poly(i), e) or ring.gen_poly(i))
     module = None
     if draw(st.booleans()):
         # a shifted cyclic module killed by a power of one generator
@@ -90,7 +100,8 @@ def test_random_cech_slices_are_complexes_and_transitions_are_chain_maps(K, data
     low = data.draw(levels)
     high = [a + b for a, b in zip(low, data.draw(levels))]
     n = data.draw(st.integers(-2, 2))
-    lo, hi = (_KoszulCochainSlice(K.module, K.elements, K.codegrees, s, n)
+    blocks = _PowerBlocks(K.module, K.elements)
+    lo, hi = (_KoszulCochainSlice(K.module, K.elements, K.codegrees, s, n, blocks)
               for s in (low, high))
     for s in (lo, hi):
         for i in range(K.c - 1):
@@ -100,32 +111,75 @@ def test_random_cech_slices_are_complexes_and_transitions_are_chain_maps(K, data
                 == hi.differential(i).mul(lo.transition_to(hi, i)))
 
 
-@settings(max_examples=200, deadline=None)
-@given(_complexes(), st.data())
-def test_slices_sharing_blocks_match_standalone_slices(K, data):
+def _reference_differential(s, i):
+    """The slice differential with every block built on its own: multiply
+    by ring.ppow of the one element added, no shared cache."""
+    ring = s.module.ring
+    tgt_index = {S: k for k, S in enumerate(s.subsets[i + 1])}
+    blocks = {}
+    for k, S in enumerate(s.subsets[i]):
+        for l in range(len(s.elements)):
+            if l in S:
+                continue
+            power = ring.ppow(s.elements[l], s.levels[l])
+            if not power:
+                continue  # a nilpotent element raised past its order
+            T = tuple(sorted(S + (l,)))
+            sign = -1 if sum(1 for x in S if x < l) % 2 else 1
+            blocks[tgt_index[T], k] = (
+                sign, s.module.mult_matrix(power, s.subset_degree(S)))
+    return Matrix.from_blocks(ring.field, s.sizes(i + 1), s.sizes(i), blocks)
+
+
+def _reference_transition(lo, hi, i):
+    """The transition with every block built on its own: the product over S
+    of the gap powers, taken in increasing element index."""
+    ring = lo.module.ring
+    blocks = {}
+    for k, S in enumerate(lo.subsets[i]):
+        gap = ring.pconst(1)
+        for j in S:
+            delta = hi.levels[j] - lo.levels[j]
+            if delta:
+                gap = ring.pmul(gap, ring.ppow(lo.elements[j], delta))
+        if gap:
+            blocks[k, k] = (1, lo.module.mult_matrix(gap, lo.subset_degree(S)))
+    return Matrix.from_blocks(ring.field, hi.sizes(i), lo.sizes(i), blocks)
+
+
+def _assert_shared_blocks_match_reference(K, data):
     # several slices at nearby levels and codegrees take their blocks from
     # one cache, in a drawn order, so later slices reuse earlier blocks
     levels = st.lists(st.integers(1, 3), min_size=K.c, max_size=K.c)
-    specs = data.draw(st.lists(st.tuples(levels, st.integers(-2, 2)),
-                               min_size=2, max_size=4))
+    specs = data.draw(st.lists(st.tuples(levels, st.integers(-2, 2),
+                                         levels), min_size=2, max_size=4))
     shared = _PowerBlocks(K.module, K.elements)
-    for low, n in specs:
-        high = [s + 1 for s in low]
-        pairs = [(_KoszulCochainSlice(K.module, K.elements, K.codegrees, s, n, shared),
-                  _KoszulCochainSlice(K.module, K.elements, K.codegrees, s, n))
-                 for s in (low, high)]
-        for a, b in pairs:
+    for low, n, gaps in specs:
+        high = [s + g for s, g in zip(low, gaps)]
+        lo, hi = (_KoszulCochainSlice(K.module, K.elements, K.codegrees, s, n, shared)
+                  for s in (low, high))
+        for s in (lo, hi):
             for i in range(K.c):
-                assert a.differential(i) == b.differential(i)
-        (lo_a, lo_b), (hi_a, hi_b) = pairs
+                assert s.differential(i) == _reference_differential(s, i)
         for i in range(K.c + 1):
-            assert lo_a.transition_to(hi_a, i) == lo_b.transition_to(hi_b, i)
+            assert lo.transition_to(hi, i) == _reference_transition(lo, hi, i)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_complexes(), st.data())
+def test_slices_sharing_blocks_match_the_reference_construction(K, data):
+    _assert_shared_blocks_match_reference(K, data)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_complexes(_signed_recipes), st.data())
+def test_shared_blocks_keep_the_signs_of_odd_elements(K, data):
+    _assert_shared_blocks_match_reference(K, data)
 
 
 def test_one_cech_table_builds_each_multiplication_block_once(monkeypatch):
-    ring = ring_with_relations(F2, [("x", 1), ("y", 1)], ["x^2*y"])
-    x, y = parse_poly("x", ring), parse_poly("y", ring)
-    module = GradedModule.ring_as_module(ring)
+    ring = ring_with_relations(F2, [("x", 1), ("y", 1), ("z", 2)], ["x^2*y"])
+    x, y, z = (parse_poly(g, ring) for g in "xyz")
     calls = []
     original = GradedModule.mult_matrix
 
@@ -134,15 +188,18 @@ def test_one_cech_table_builds_each_multiplication_block_once(monkeypatch):
         return original(self, poly, n)
 
     monkeypatch.setattr(GradedModule, "mult_matrix", counted)
-    # x^2 is also x squared, so two exponent vectors give one polynomial;
-    # blocks are dropped as the codegrees are done, in any order
-    for elements in ([x, y], [x, ring.pmul(x, x), y]):
-        for degrees in (range(-3, 2), [1, -3, 0, -2, -1]):
-            calls.clear()
-            cech_table(module, elements, degrees, stab_bound=6)
-            assert calls and len(calls) == len(set(calls))
-            # nothing is kept past the call: a second one builds the same blocks
-            first = list(calls)
-            calls.clear()
-            cech_table(module, elements, degrees, stab_bound=6)
-            assert calls == first
+    # distinct exponent vectors on these elements give distinct polynomials,
+    # so one block per (polynomial, codegree); blocks are dropped as the
+    # codegrees are done, in any order
+    for module in (GradedModule.ring_as_module(ring),
+                   GradedModule(ring, [0], [[parse_poly("y*z", ring)]])):
+        for elements in ([x, y], [x, y, z]):
+            for degrees in (range(-3, 2), [1, -3, 0, -2, -1]):
+                calls.clear()
+                cech_table(module, elements, degrees, stab_bound=6)
+                assert calls and len(calls) == len(set(calls))
+                # nothing is kept past the call: a second one builds the same blocks
+                first = list(calls)
+                calls.clear()
+                cech_table(module, elements, degrees, stab_bound=6)
+                assert calls == first
