@@ -74,15 +74,19 @@ class _PowerBlocks:
     def __init__(self, module, elements):
         self.module = module
         self.elements = elements
+        self._powers = {}   # e -> a^e
         self._blocks = {}   # (e, m) -> Matrix or None
 
     def block(self, e, m):
         if (e, m) not in self._blocks:
-            ring = self.module.ring
-            p = ring.pconst(1)
-            for a, k in zip(self.elements, e):
-                if k:
-                    p = ring.pmul(p, ring.ppow(a, k))
+            if e not in self._powers:
+                ring = self.module.ring
+                p = ring.pconst(1)
+                for a, k in zip(self.elements, e):
+                    if k:
+                        p = ring.pmul(p, ring.ppow(a, k))
+                self._powers[e] = p
+            p = self._powers[e]
             self._blocks[e, m] = self.module.mult_matrix(p, m) if p else None
         return self._blocks[e, m]
 
