@@ -201,9 +201,9 @@ def cech_table(module, elements, degrees=None, stab_bound=16, buffer=8,
     Every differential and transition block is multiplication by a
     product of powers of the elements from one module codegree.  One
     _PowerBlocks per call, keyed by exponent vector and source codegree,
-    builds each block once for all slices, and goes when the call
-    returns.  Slices are dropped once their codegree n is done, and
-    blocks once their source codegree is below every n still to do.
+    builds each power and each block once for all slices, and goes when
+    the call returns.  Slices are dropped once their codegree n is done,
+    and blocks once their source codegree is below every n still to do.
     """
     ring = module.ring
     elements = list(elements)
