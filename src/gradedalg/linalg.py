@@ -2,8 +2,12 @@
 
 RowSpace is the one elimination kernel: ring and module components,
 resolution kernels, Cech ranks and Matrix's rref, rank, kernel_basis,
-image_basis and solve all reduce through it.  Its rows are sparse, so a
-Macaulay row m * f costs its |f| terms, not the width of the matrix.
+image_basis and solve all reduce through it.  The field chooses how it
+stores rows.  Over GF(2), the field of every mod-2 cohomology ring, a
+row is an int with one bit per column, and reducing by a row is one
+XOR.  Every other field keeps sparse {column: value} rows, so a Macaulay
+row m * f costs its |f| terms, not the width of the matrix.  Either way
+vectors go in as lists or dicts and come out as {column: value} dicts.
 
 Matrix holds the same {column: value} rows, its only storage, so its
 products, transposes, block assembly and elimination touch only nonzero
@@ -15,7 +19,7 @@ from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 
-from .fields import FieldError
+from .fields import FieldError, PrimeField
 
 
 class Matrix:
@@ -179,8 +183,8 @@ class Matrix:
         """Reduced row echelon form: (dense rows, pivot column list)."""
         space, pivots = self._eliminated()
         z, o = self.field.zero(), self.field.one()
-        return [[o if c == p else space._rows[p].get(c, z) for c in range(self.ncols)]
-                for p in pivots], pivots
+        return [[o if c == p else row.get(c, z) for c in range(self.ncols)]
+                for p, row in zip(pivots, map(space.row, pivots))], pivots
 
     def rank(self):
         return len(self._eliminated()[1])
@@ -197,7 +201,7 @@ class Matrix:
         basis = {fc: {fc: o} for fc in space.nonpivot_columns()}
         # reduced rows hold entries only in non-pivot columns
         for p in pivots:
-            for fc, x in space._rows[p].items():
+            for fc, x in space.row(p).items():
                 basis[fc][p] = F.neg(x)
         return [[v.get(c, z) for c in range(self.ncols)] for v in basis.values()]
 
@@ -230,7 +234,7 @@ class Matrix:
         x = [z] * n
         for p in pivots:
             acc = b[p - n] if p >= n else z
-            for c, t in space._rows[p].items():
+            for c, t in space.row(p).items():
                 if c >= n and b[c - n] != z:
                     acc = add(acc, mul(t, b[c - n]))
             if p < n:
@@ -262,23 +266,34 @@ class RowSpace:
 
     Used for spanning-set elimination: insert vectors, query membership,
     and extract quotient coordinates relative to the non-pivot columns.
-    Vectors are dense lists or {column: value} dicts.
+    Vectors are dense lists or {column: value} dicts, and reduced vectors
+    come back as {column: value} dicts.
 
     Rows are kept in echelon form: each is reduced against the rows there
     when it arrives, and its pivot is its least nonzero column.  So the
     pivots are those of the reduced row echelon form, and a reduction,
     which clears every pivot column, is the same as against that form.
+
+    The field chooses how rows are stored.  Over GF(2) a row is an int
+    whose bit c is column c, its pivot bit included, and a reduction XORs
+    in the row of the least pivot bit left until none is: a few word
+    operations per row instead of a Python step per entry.  Every other
+    field keeps sparse {column > pivot: value} rows.
     """
 
     def __init__(self, field, ncols):
         self.field = field
         self.ncols = ncols
-        self._rows = {}          # pivot column -> {column > pivot: value}
+        self._packed = isinstance(field, PrimeField) and field.p == 2
+        self._rows = {}          # pivot column -> its row, stored as above
+        self._pivot_bits = 0     # GF(2): the pivot columns as bits
         self._nonpivots = None   # cached with their positions; insert clears both
         self._position = None
 
     def _reduced(self, vec):
         """vec as a {column: value} dict, reduced until no pivot column is left."""
+        if self._packed:
+            return dict.fromkeys(_bits(self._reduced_bits(_pack(vec))), 1)
         F = self.field
         z = F.zero()
         rows = self._rows
@@ -311,6 +326,19 @@ class RowSpace:
                         v[c] = y
         return v
 
+    def _reduced_bits(self, v):
+        """The GF(2) vector v (an int) reduced until no pivot bit is left.
+
+        XORing the row of the least pivot bit clears that bit and touches
+        only higher ones, so the loop ends after at most dim steps.
+        """
+        rows, pivot_bits = self._rows, self._pivot_bits
+        hit = v & pivot_bits
+        while hit:
+            v ^= rows[(hit & -hit).bit_length() - 1]
+            hit = v & pivot_bits
+        return v
+
     def reduce(self, vec):
         """Reduce `vec` against the current rows (returns a new list)."""
         v = self._reduced(vec)
@@ -319,15 +347,23 @@ class RowSpace:
 
     def insert(self, vec):
         """Insert a vector; returns True if it enlarged the space."""
-        v = self._reduced(vec)
-        if not v:
-            return False
-        F = self.field
-        p = min(v)
-        inv = F.inv(v.pop(p))
-        if inv != F.one():
-            v = {c: F.mul(inv, x) for c, x in v.items()}
-        self._rows[p] = v
+        if self._packed:
+            v = self._reduced_bits(_pack(vec))
+            if not v:
+                return False
+            low = v & -v
+            self._rows[low.bit_length() - 1] = v
+            self._pivot_bits |= low
+        else:
+            v = self._reduced(vec)
+            if not v:
+                return False
+            F = self.field
+            p = min(v)
+            inv = F.inv(v.pop(p))
+            if inv != F.one():
+                v = {c: F.mul(inv, x) for c, x in v.items()}
+            self._rows[p] = v
         self._nonpivots = self._position = None
         return True
 
@@ -337,6 +373,13 @@ class RowSpace:
     @property
     def dim(self):
         return len(self._rows)
+
+    def row(self, p):
+        """The row whose pivot is column p, as {column > p: value}; its
+        entry at p is 1.  After back_substitute it is a reduced row."""
+        if self._packed:
+            return dict.fromkeys(_bits(self._rows[p] ^ (1 << p)), 1)
+        return self._rows[p]
 
     def nonpivot_columns(self):
         if self._nonpivots is None:
@@ -353,6 +396,8 @@ class RowSpace:
             self._position = {c: k for k, c in enumerate(self.nonpivot_columns())}
         position = self._position
         # the reduced vector has no pivot column left
+        if self._packed:
+            return {position[c]: 1 for c in _bits(self._reduced_bits(_pack(vec)))}
         return {position[c]: x for c, x in self._reduced(vec).items()}
 
     def back_substitute(self):
@@ -361,7 +406,32 @@ class RowSpace:
         Rows are reduced from the last pivot to the first, so each one
         meets only rows already fully reduced.
         """
-        pivots = sorted(self._rows)
+        rows = self._rows
+        pivots = sorted(rows)
         for p in reversed(pivots):
-            self._rows[p] = self._reduced(self._rows[p])
+            if self._packed:
+                bit = 1 << p
+                rows[p] = self._reduced_bits(rows[p] ^ bit) | bit
+            else:
+                rows[p] = self._reduced(rows[p])
         return pivots
+
+
+def _pack(vec):
+    """A GF(2) vector, a list or a {column: value} dict, as an int whose
+    bit c is column c."""
+    v = 0
+    for c, x in (vec.items() if isinstance(vec, dict) else enumerate(vec)):
+        if x:
+            v |= 1 << c
+    return v
+
+
+def _bits(v):
+    """The positions of the set bits of the int v, lowest first."""
+    out = []
+    while v:
+        low = v & -v
+        out.append(low.bit_length() - 1)
+        v ^= low
+    return out

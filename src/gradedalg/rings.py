@@ -13,6 +13,8 @@ basis: the codegree-n piece of the relation ideal is spanned by
 
 from __future__ import annotations
 
+from operator import add
+
 from .linalg import RowSpace
 
 
@@ -36,6 +38,8 @@ class GradedRing:
         # odd-degree generators pick up signs except in characteristic 2
         self.signed = field.char != 2
         self.odd = tuple(d % 2 == 1 and self.signed for d in self.codegrees)
+        # the odd-signed generators, last first (mono_mul's sign scan)
+        self._odd_desc = tuple(i for i in reversed(range(self.ngens)) if self.odd[i])
         self._suffix_cache = {}  # (generator index, codegree) -> monomial suffixes
         self._component_cache = {}
         self._generator_tables = {}  # (generator, codegree) -> times_table
@@ -103,37 +107,28 @@ class GradedRing:
 
     def mono_mul(self, m1, m2):
         """Product of monomials: (sign, monomial) or (0, None) if it dies."""
-        sign = 1
-        if self.signed:
-            # moving odd factors of m2 leftwards past odd factors of m1
-            swaps = 0
-            for i in range(self.ngens):
-                if not self.odd[i] or not m2[i]:
-                    continue
-                for j in range(i + 1, self.ngens):
-                    if self.odd[j]:
-                        swaps += m2[i] * m1[j]
-            if swaps % 2:
-                sign = -1
-            for i in range(self.ngens):
-                if self.odd[i] and m1[i] + m2[i] >= 2:
-                    return 0, None
-        return sign, tuple(a + b for a, b in zip(m1, m2))
+        prod = tuple(map(add, m1, m2))
+        if not self._odd_desc:
+            return 1, prod
+        # moving odd factors of m2 leftwards past odd factors of m1 to their right
+        swaps = later = 0
+        for i in self._odd_desc:
+            if prod[i] >= 2:
+                return 0, None
+            swaps += m2[i] * later
+            later += m1[i]
+        return (-1 if swaps % 2 else 1), prod
 
     def mono_times_poly(self, mono, p):
-        F = self.field
+        # multiplying by one monomial is injective, so no two terms meet
+        if not self._odd_desc:
+            return {tuple(map(add, mono, m)): c for m, c in p.items()}
+        neg = self.field.neg
         out = {}
-        z = F.zero()
         for m, c in p.items():
             sign, prod = self.mono_mul(mono, m)
-            if prod is None:
-                continue
-            v = c if sign == 1 else F.neg(c)
-            s = F.add(out.get(prod, z), v)
-            if s == z:
-                out.pop(prod, None)
-            else:
-                out[prod] = s
+            if prod is not None:
+                out[prod] = c if sign == 1 else neg(c)
         return out
 
     def pmul(self, p, q):

@@ -57,3 +57,24 @@ def test_pairs_alternate_which_side_runs_first():
         "p", "c", "label", lambda checkout, k: calls.append((checkout, k)) or k)
     assert parent == change == list(range(bench_record.PAIRS))
     assert calls[:4] == [("p", 0), ("c", 0), ("c", 1), ("p", 1)]
+
+
+def test_each_preset_is_timed_after_a_full_collection(tmp_path):
+    # a stand-in catalog whose presets leave cyclic garbage behind and
+    # fail when they start with uncollected allocations
+    package = tmp_path / "src" / "gradedalg"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "presets.py").write_text(
+        "import gc\n"
+        "junk = []\n"
+        "def preset_names():\n"
+        "    return ['a', 'b', 'c']\n"
+        "def preset_run(name):\n"
+        "    assert gc.get_count()[0] < 100, gc.get_count()\n"
+        "    for _ in range(300):\n"
+        "        cycle = []\n"
+        "        cycle.append(cycle)\n"
+        "        junk.append(cycle)\n")
+    seconds = bench_record.preset_seconds(str(tmp_path))
+    assert sorted(seconds) == ["a", "b", "c"]

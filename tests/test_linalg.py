@@ -164,18 +164,53 @@ def _row_sets(draw):
     return field, ncols, rows, probes
 
 
+@st.composite
+def _wide_gf2_row_sets(draw):
+    """GF(2) cases 31 to 200 columns wide, so that packed rows span several
+    int digits.  Rows are sparse (at most 4 ones), dense right of a drawn
+    column, or the sum of two rows drawn before, so that dependencies are
+    common at any width."""
+    ncols = draw(st.integers(31, 200))
+    drawn = []
+
+    def vector():
+        kind = draw(st.sampled_from(["sparse", "dense", "sum"]))
+        if kind == "sum" and drawn:
+            a, b = draw(st.sampled_from(drawn)), draw(st.sampled_from(drawn))
+            v = [F2.add(x, y) for x, y in zip(a, b)]
+        elif kind == "dense":  # from a drawn column on, so pivots fall anywhere
+            start = draw(st.integers(0, ncols - 1))
+            bits = draw(st.integers(0, 2 ** (ncols - start) - 1)) << start
+            v = [bits >> c & 1 for c in range(ncols)]
+        else:
+            v = [0] * ncols
+            for c in draw(st.lists(st.integers(0, ncols - 1), max_size=4)):
+                v[c] = 1
+        drawn.append(v)
+        return v
+
+    rows = [vector() for _ in range(draw(st.integers(0, 12)))]
+    probes = [vector() for _ in range(3)]
+    return F2, ncols, rows, probes
+
+
+_eliminations = st.one_of(_row_sets(), _wide_gf2_row_sets())
+
+
 @pytest.mark.parametrize("as_dict", [False, True], ids=["lists", "dicts"])
 @settings(max_examples=200, deadline=None)
-@given(_row_sets())
+@given(_eliminations)
 def test_rowspace_matches_dense_elimination(as_dict, case):
     F, ncols, rows, probes = case
     given_as = (lambda v: _as_dict(F, v)) if as_dict else list
     rs = RowSpace(F, ncols)
+    # row i enlarges the span of rows[:i] exactly when column i is a pivot
+    # of the matrix with the rows as columns
+    columns = [[r[c] for r in rows] for c in range(ncols)]
+    enlarging = _dense_rref(F, columns, len(rows))[1]
     for i, row in enumerate(rows):
-        rank_before = len(_dense_rref(F, rows[:i], ncols)[1])
-        rank_after = len(_dense_rref(F, rows[:i + 1], ncols)[1])
-        assert rs.insert(given_as(row)) == (rank_after > rank_before)
-        assert rs.dim == rank_after
+        assert rs.insert(given_as(row)) == (i in enlarging)
+        assert rs.dim == sum(j <= i for j in enlarging)
     ref_rows, pivots = _dense_rref(F, rows, ncols)
     nonpivots = [c for c in range(ncols) if c not in pivots]
     assert rs.ncols == ncols
@@ -189,7 +224,7 @@ def test_rowspace_matches_dense_elimination(as_dict, case):
 
 
 @settings(max_examples=200, deadline=None)
-@given(_row_sets())
+@given(_eliminations)
 def test_matrix_matches_dense_elimination(case):
     F, ncols, rows, probes = case
     m = Matrix(F, rows, ncols)

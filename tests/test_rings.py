@@ -1,6 +1,7 @@
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gradedalg.fields import PrimeField, Rationals
 from gradedalg.linalg import Matrix
@@ -187,3 +188,65 @@ def test_monomials_keep_the_order_of_the_recursion_on_every_preset_ring():
             assert ring.monomials(n) == _monomials_by_recursion(ring, n), (name, n)
         seen += 1
     assert seen >= 11
+
+
+def _mono_mul_reference(ring, m1, m2):
+    """The product GradedRing.mono_mul replaced, kept as the reference: a
+    loop over generator pairs for the sign, then the exponents added by a
+    generator expression."""
+    sign = 1
+    if ring.signed:
+        swaps = 0
+        for i in range(ring.ngens):
+            if not ring.odd[i] or not m2[i]:
+                continue
+            for j in range(i + 1, ring.ngens):
+                if ring.odd[j]:
+                    swaps += m2[i] * m1[j]
+        if swaps % 2:
+            sign = -1
+        for i in range(ring.ngens):
+            if ring.odd[i] and m1[i] + m2[i] >= 2:
+                return 0, None
+    return sign, tuple(a + b for a, b in zip(m1, m2))
+
+
+def _mono_times_poly_reference(ring, mono, p):
+    F = ring.field
+    out = {}
+    for m, c in p.items():
+        sign, prod = _mono_mul_reference(ring, mono, m)
+        if prod is None:
+            continue
+        s = F.add(out.get(prod, F.zero()), c if sign == 1 else F.neg(c))
+        if s == F.zero():
+            out.pop(prod, None)
+        else:
+            out[prod] = s
+    return out
+
+
+@st.composite
+def _monomial_products(draw):
+    """A ring over GF(2), GF(3) or QQ with one to four generators, odd ones
+    among them, two monomials and a polynomial.  Exponents reach 2, so odd
+    generators die in products and some factors are already dead."""
+    field = draw(st.sampled_from([PrimeField(2), PrimeField(3), Rationals()]))
+    degrees = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    ring = GradedRing(field, [(f"x{i}", d) for i, d in enumerate(degrees)])
+    mono = st.tuples(*[st.integers(0, 2) for _ in degrees])
+    p = {m: field.from_int(draw(st.integers(1, field.char - 1 if field.char else 5)))
+         for m in draw(st.lists(mono, max_size=5))}
+    return ring, draw(mono), draw(mono), p
+
+
+@settings(max_examples=300, deadline=None)
+@given(_monomial_products())
+def test_monomial_products_match_the_reference(case):
+    ring, m1, m2, p = case
+    assert ring.mono_mul(m1, m2) == _mono_mul_reference(ring, m1, m2)
+    assert ring.mono_mul(m2, m1) == _mono_mul_reference(ring, m2, m1)
+    product = ring.mono_times_poly(m1, p)
+    reference = _mono_times_poly_reference(ring, m1, p)
+    assert product == reference and list(product) == list(reference)
+

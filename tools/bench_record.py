@@ -98,10 +98,11 @@ def tier1(checkout):
 
 
 PRESET_TIMES = """
-import json, time
+import gc, json, time
 from gradedalg.presets import preset_names, preset_run
 out = {}
 for name in preset_names():
+    gc.collect()
     t0 = time.perf_counter()
     preset_run(name)
     out[name] = time.perf_counter() - t0
@@ -110,7 +111,11 @@ print(json.dumps(out))
 
 
 def preset_seconds(checkout):
-    """Seconds of each preset_run, all in one fresh process."""
+    """Seconds of each preset_run, all in one fresh process.
+
+    The cyclic garbage collector runs to completion before each preset is
+    timed, so no preset pays for the garbage the ones before it left.
+    """
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(checkout), "src"))
     out = subprocess.run([sys.executable, "-c", PRESET_TIMES], cwd=checkout, env=env,
                          capture_output=True, text=True, check=True)
