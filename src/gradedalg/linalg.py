@@ -7,7 +7,9 @@ stores rows.  Over GF(2), the field of every mod-2 cohomology ring, a
 row is an int with one bit per column, and reducing by a row is one
 XOR.  Every other field keeps sparse {column: value} rows, so a Macaulay
 row m * f costs its |f| terms, not the width of the matrix.  Either way
-vectors go in as lists or dicts and come out as {column: value} dicts.
+vectors go in as lists or dicts, over GF(2) also as such ints (ring
+components hand their Macaulay rows over packed), and come out as
+{column: value} dicts.
 
 Matrix holds the same {column: value} rows, its only storage, so its
 products, transposes, block assembly and elimination touch only nonzero
@@ -26,8 +28,8 @@ class Matrix:
     """An immutable matrix with sparse rows: srows[i] is {column: nonzero value}.
 
     That is the only storage.  Dense lists appear only at the boundary:
-    the public constructor, the .rows view, rref()'s rows, kernel_basis()'s
-    vectors and apply()'s output.
+    the public constructor, the .rows view, rref()'s rows and apply()'s
+    output.
     """
 
     __slots__ = ("field", "nrows", "ncols", "srows", "_space", "_solver")
@@ -190,20 +192,20 @@ class Matrix:
         return len(self._eliminated()[1])
 
     def kernel_basis(self):
-        """Basis of the right null space, as column vectors (lists).
+        """Basis of the right null space, as sparse {column: value} vectors.
 
         One vector per non-pivot column fc: 1 there, minus column fc of the
         reduced rows at the pivots, zero elsewhere.
         """
         F = self.field
-        z, o = F.zero(), F.one()
+        o = F.one()
         space, pivots = self._eliminated()
         basis = {fc: {fc: o} for fc in space.nonpivot_columns()}
         # reduced rows hold entries only in non-pivot columns
         for p in pivots:
             for fc, x in space.row(p).items():
                 basis[fc][p] = F.neg(x)
-        return [[v.get(c, z) for c in range(self.ncols)] for v in basis.values()]
+        return list(basis.values())
 
     def image_basis(self):
         """Columns of the matrix forming a basis of the column space."""
@@ -266,8 +268,10 @@ class RowSpace:
 
     Used for spanning-set elimination: insert vectors, query membership,
     and extract quotient coordinates relative to the non-pivot columns.
-    Vectors are dense lists or {column: value} dicts, and reduced vectors
-    come back as {column: value} dicts.
+    Vectors are dense lists or {column: value} dicts, over GF(2) also ints
+    whose bit c is column c, and reduced vectors come back as
+    {column: value} dicts.  A space with no rows yet hands a vector's
+    nonzero entries back as they are.
 
     Rows are kept in echelon form: each is reduced against the rows there
     when it arrives, and its pivot is its least nonzero column.  So the
@@ -278,13 +282,13 @@ class RowSpace:
     whose bit c is column c, its pivot bit included, and a reduction XORs
     in the row of the least pivot bit left until none is: a few word
     operations per row instead of a Python step per entry.  Every other
-    field keeps sparse {column > pivot: value} rows.
+    field keeps sparse {column > pivot: value} rows.  `packed` says which.
     """
 
     def __init__(self, field, ncols):
         self.field = field
         self.ncols = ncols
-        self._packed = isinstance(field, PrimeField) and field.p == 2
+        self.packed = isinstance(field, PrimeField) and field.p == 2
         self._rows = {}          # pivot column -> its row, stored as above
         self._pivot_bits = 0     # GF(2): the pivot columns as bits
         self._nonpivots = None   # cached with their positions; insert clears both
@@ -292,13 +296,12 @@ class RowSpace:
 
     def _reduced(self, vec):
         """vec as a {column: value} dict, reduced until no pivot column is left."""
-        if self._packed:
+        rows = self._rows
+        if self.packed and rows:
             return dict.fromkeys(_bits(self._reduced_bits(_pack(vec))), 1)
         F = self.field
         z = F.zero()
-        rows = self._rows
-        v = {c: x for c, x in (vec.items() if isinstance(vec, dict) else enumerate(vec))
-             if x != z}
+        v = _entries(vec, z)
         # A row touches only columns right of its pivot, so clearing pivot
         # columns in increasing order never refills one already cleared.
         heap = [c for c in v if c in rows]
@@ -347,7 +350,7 @@ class RowSpace:
 
     def insert(self, vec):
         """Insert a vector; returns True if it enlarged the space."""
-        if self._packed:
+        if self.packed:
             v = self._reduced_bits(_pack(vec))
             if not v:
                 return False
@@ -377,7 +380,7 @@ class RowSpace:
     def row(self, p):
         """The row whose pivot is column p, as {column > p: value}; its
         entry at p is 1.  After back_substitute it is a reduced row."""
-        if self._packed:
+        if self.packed:
             return dict.fromkeys(_bits(self._rows[p] ^ (1 << p)), 1)
         return self._rows[p]
 
@@ -391,12 +394,15 @@ class RowSpace:
         {non-pivot position: value}.
 
         The quotient basis is the set of non-pivot coordinate vectors.
+        With no pivots yet, positions are columns.
         """
+        if not self._rows:
+            return _entries(vec, self.field.zero())
         if self._position is None:
             self._position = {c: k for k, c in enumerate(self.nonpivot_columns())}
         position = self._position
         # the reduced vector has no pivot column left
-        if self._packed:
+        if self.packed:
             return {position[c]: 1 for c in _bits(self._reduced_bits(_pack(vec)))}
         return {position[c]: x for c, x in self._reduced(vec).items()}
 
@@ -409,7 +415,7 @@ class RowSpace:
         rows = self._rows
         pivots = sorted(rows)
         for p in reversed(pivots):
-            if self._packed:
+            if self.packed:
                 bit = 1 << p
                 rows[p] = self._reduced_bits(rows[p] ^ bit) | bit
             else:
@@ -417,9 +423,20 @@ class RowSpace:
         return pivots
 
 
+def _entries(vec, z):
+    """The entries other than z of vec, a list, a {column: value} dict or
+    a packed GF(2) int, as a new {column: value} dict."""
+    if isinstance(vec, int):
+        return dict.fromkeys(_bits(vec), 1)
+    return {c: x for c, x in (vec.items() if isinstance(vec, dict) else enumerate(vec))
+            if x != z}
+
+
 def _pack(vec):
     """A GF(2) vector, a list or a {column: value} dict, as an int whose
-    bit c is column c."""
+    bit c is column c; an int is that already."""
+    if isinstance(vec, int):
+        return vec
     v = 0
     for c, x in (vec.items() if isinstance(vec, dict) else enumerate(vec)):
         if x:

@@ -148,8 +148,8 @@ class _KoszulCochainSlice:
 
     def cocycles(self, i):
         """A basis of the kernel of the differential out of cochain degree i,
-        as vectors combine() takes: lists, or unit {position: 1} dicts at
-        the top degree, where every cochain is a cocycle."""
+        as sparse {position: value} vectors; at the top degree, where every
+        cochain is a cocycle, the unit vectors."""
         dim_i = self.term_dim(i)
         if dim_i == 0:
             return []

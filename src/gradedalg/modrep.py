@@ -220,15 +220,16 @@ class GroupModule:
         return out
 
     def submodule_span(self, vectors):
-        """Basis of the smallest submodule containing the vectors."""
+        """Basis of the smallest submodule containing the vectors (lists or
+        {position: value} dicts, as they come)."""
         span = RowSpace(self.field, self.dim)
         basis = []
         queue = list(vectors)
         while queue:
             v = queue.pop()
-            if not span.insert(list(v)):
+            if not span.insert(v):
                 continue
-            basis.append(list(v))
+            basis.append(v)
             for g in range(self.algebra.n):
                 queue.append(self.mats[g].apply(v))
         return basis

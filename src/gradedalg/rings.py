@@ -9,6 +9,14 @@ and square to zero (extra relations may of course be supplied).
 Degreewise data comes from spanning-set elimination over the monomial
 basis: the codegree-n piece of the relation ideal is spanned by
 {m * f : f a relation, m a monomial with |m| + |f| = n}.
+
+In a ring with no odd-signed generator, components and multiplication
+tables work on monomial codes: one int per monomial, with a bit field per
+generator exponent wide enough for codegree n (see GradedRing.code_width).
+A product of monomials is then the sum of their codes, and over GF(2) a
+row m * f enters RowSpace already packed, one bit per column.  Rings with
+odd-signed generators multiply exponent tuples with mono_times_poly, which
+tracks signs and odd squares.
 """
 
 from __future__ import annotations
@@ -40,7 +48,10 @@ class GradedRing:
         self.odd = tuple(d % 2 == 1 and self.signed for d in self.codegrees)
         # the odd-signed generators, last first (mono_mul's sign scan)
         self._odd_desc = tuple(i for i in reversed(range(self.ngens)) if self.odd[i])
+        # no sign or death in any product: components work on monomial codes
+        self.coded = not self._odd_desc
         self._suffix_cache = {}  # (generator index, codegree) -> monomial suffixes
+        self._code_cache = {}    # (generator index, codegree, field width) -> codes
         self._component_cache = {}
         self._generator_tables = {}  # (generator, codegree) -> times_table
         self.relations = []
@@ -180,26 +191,51 @@ class GradedRing:
             self._suffix_cache[key] = out
         return self._suffix_cache[key]
 
+    def code_width(self, n):
+        """Bits per exponent field in the monomial codes of codegree n.
+
+        No exponent in codegree n exceeds n // (least generator codegree),
+        and the field holds more than that, so adding the codes of two
+        monomials whose codegrees sum to n never carries into the next field.
+        """
+        return (n // min(self.codegrees, default=1)).bit_length()
+
+    def code(self, mono, w):
+        """The monomial as one int, exponent fields w bits wide, the first
+        generator's highest: int order is lex order of the exponent tuples,
+        and the code of a product is the sum of the codes."""
+        out = 0
+        for e in mono:
+            out = out << w | e
+        return out
+
+    def codes(self, n, w):
+        """The codes at field width w of monomials(n), in their order
+        (for a coded ring, which caps no exponent)."""
+        return self._suffix_codes(0, n, w)
+
+    def _suffix_codes(self, i, r, w):
+        """The codes at width w of _suffixes(i, r), in their order, each
+        list built once from those of generator i + 1."""
+        key = (i, r, w)
+        if key not in self._code_cache:
+            if i == self.ngens:
+                out = [0] if r == 0 else []
+            else:
+                d = self.codegrees[i]
+                shift = w * (self.ngens - 1 - i)
+                out = [(e << shift) + rest for e in range(r // d + 1)
+                       for rest in self._suffix_codes(i + 1, r - e * d, w)]
+            self._code_cache[key] = out
+        return self._code_cache[key]
+
     # -- degreewise components -------------------------------------------
 
     def component(self, n):
         """The codegree-n piece of the quotient ring."""
-        if n in self._component_cache:
-            return self._component_cache[n]
-        monos = self.monomials(n)
-        index = {m: i for i, m in enumerate(monos)}
-        span = RowSpace(self.field, len(monos))
-        for rel in self.relations:
-            d = self.mono_codegree(next(iter(rel)))
-            if d > n:
-                continue
-            for m in self.monomials(n - d):
-                prod = self.mono_times_poly(m, rel)
-                if prod:
-                    span.insert({index[mono]: c for mono, c in prod.items()})
-        comp = RingComponent(self, n, monos, index, span)
-        self._component_cache[n] = comp
-        return comp
+        if n not in self._component_cache:
+            self._component_cache[n] = RingComponent(self, n)
+        return self._component_cache[n]
 
     def times_table(self, p, a):
         """{b: sparse coordinates in R_(a+|p|) of b * p} for the basis monomials
@@ -212,7 +248,7 @@ class GradedRing:
         gen = self._generator_of(p)
         if gen is not None and (gen, a) in self._generator_tables:
             return self._generator_tables[gen, a]
-        table = _TimesTable(self, p, self.component(a + self.poly_codegree(p)))
+        table = _TimesTable(p, self.component(a + self.poly_codegree(p)))
         if gen is not None:
             self._generator_tables[gen, a] = table
         return table
@@ -246,33 +282,97 @@ class GradedRing:
 class _TimesTable(dict):
     """GradedRing.times_table: b -> coordinates of b * p, filled on lookup."""
 
-    __slots__ = ("ring", "p", "target")
+    __slots__ = ("target", "terms")
 
-    def __init__(self, ring, p, target):
+    def __init__(self, p, target):
         super().__init__()
-        self.ring, self.p, self.target = ring, p, target
+        self.target, self.terms = target, target.terms(p)
 
     def __missing__(self, b):
-        coords = self[b] = self.target.reduce_poly(self.ring.mono_times_poly(b, self.p))
+        target = self.target
+        coords = self[b] = target.coords(target.key(b), self.terms)
         return coords
 
 
 class RingComponent:
-    """Exact basis and reduction data for one codegree of a quotient ring."""
+    """Exact basis and reduction data for one codegree of a quotient ring.
 
-    def __init__(self, ring, n, monos, index, span):
+    Its columns are the monomials of codegree n in lex order, spanned by
+    the Macaulay rows m * f.  A monomial is known here by its key: in a
+    coded ring (GradedRing.coded) its code at this codegree's field width,
+    so that the key of b * m is the sum of the keys, and otherwise its
+    exponent tuple, multiplied by mono_times_poly.
+    """
+
+    def __init__(self, ring, n):
         self.ring = ring
         self.n = n
-        self.monomials_all = monos
-        self.index = index
-        self._span = span
-        self.basis = [monos[c] for c in span.nonpivot_columns()]
+        self.monomials_all = ring.monomials(n)
+        self._width = ring.code_width(n) if ring.coded else None
+        self._index = None
+        self._span = span = RowSpace(ring.field, len(self.monomials_all))
+        for rel in ring.relations:
+            d = ring.mono_codegree(next(iter(rel)))
+            if d > n:
+                continue
+            terms = self.terms(rel)
+            for b in self.keys(n - d):
+                row = self.product(b, terms)
+                if row:
+                    span.insert(row)
+        self.basis = [self.monomials_all[c] for c in span.nonpivot_columns()]
         self.dim = len(self.basis)
+
+    @property
+    def index(self):
+        """key -> column, built on first use: a component no product lands
+        in, such as one of a polynomial ring read for its dimension, never
+        needs it."""
+        if self._index is None:
+            self._index = {k: c for c, k in enumerate(self.keys(self.n))}
+        return self._index
+
+    def keys(self, a):
+        """The keys here of the monomials of codegree a, in their order."""
+        if self._width is None:
+            return self.ring.monomials(a)
+        return self.ring.codes(a, self._width)
+
+    def key(self, mono):
+        return mono if self._width is None else self.ring.code(mono, self._width)
+
+    def terms(self, p):
+        """p as product() takes it: itself in a signed ring, else the keys
+        of its monomials and their coefficients."""
+        if self._width is None:
+            return p
+        return [self.key(m) for m in p], list(p.values())
+
+    def product(self, b, terms):
+        """The columns of b * p here, b a key and p given by its terms: over
+        GF(2) an int with one bit per column, else a {column: value} dict.
+
+        b * p lies in codegree n.  In a coded ring no two terms meet, as
+        multiplying by a monomial is injective, so the bits simply add.
+        """
+        index = self.index
+        if self._width is None:
+            return {index[m]: c for m, c in self.ring.mono_times_poly(b, terms).items()}
+        keys, coeffs = terms
+        cols = map(index.__getitem__, map(b.__add__, keys))
+        if self._span.packed:
+            return sum(map((1).__lshift__, cols))
+        return dict(zip(cols, coeffs))
+
+    def coords(self, b, terms):
+        """Coordinates {basis position: value} of b * p (see product)."""
+        return self._span.quotient_coords(self.product(b, terms))
 
     def reduce_poly(self, p):
         """Coordinates {basis position: value} of a codegree-n polynomial."""
-        index = self.index
-        return self._span.quotient_coords({index[mono]: c for mono, c in p.items()})
+        if p and self.ring.poly_codegree(p) != self.n:
+            raise PresentationError(f"polynomial is not of codegree {self.n}")
+        return self.coords(self.key((0,) * self.ring.ngens), self.terms(p))
 
 
 def polynomial_ring(field, names_degrees):

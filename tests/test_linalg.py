@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gradedalg.fields import ExtensionField, FieldError, PrimeField, Rationals
 from gradedalg.linalg import Matrix, RowSpace
@@ -51,6 +51,18 @@ def test_rowspace_insert_and_quotient():
     assert rs.contains([1, 1, 1])
     assert not rs.contains([0, 0, 1])
     assert rs.nonpivot_columns() == [2]
+
+
+def test_empty_rowspace_hands_back_the_nonzero_entries():
+    # no pivots: quotient positions are columns, and nothing is reduced
+    for field, vec, entries in ((F5, {0: 0, 2: 3}, {2: 3}), (F5, [0, 4, 0], {1: 4}),
+                                (F2, [1, 0, 1], {0: 1, 2: 1}), (F2, 0b101, {0: 1, 2: 1})):
+        rs = RowSpace(field, 3)
+        for out in (rs.quotient_coords(vec), rs.reduce(vec)):
+            dense = out if isinstance(out, list) else [out.get(c, 0) for c in range(3)]
+            assert dense == [entries.get(c, 0) for c in range(3)]
+        out = rs.quotient_coords(vec)
+        assert out == entries and out is not vec
 
 
 def test_public_matrix_validates_its_entries():
@@ -197,12 +209,18 @@ def _wide_gf2_row_sets(draw):
 _eliminations = st.one_of(_row_sets(), _wide_gf2_row_sets())
 
 
-@pytest.mark.parametrize("as_dict", [False, True], ids=["lists", "dicts"])
+def _as_int(vec):
+    """A GF(2) vector packed into an int, bit c for column c."""
+    return sum(1 << c for c, x in enumerate(vec) if x)
+
+
+@pytest.mark.parametrize("form", ["lists", "dicts", "ints"])
 @settings(max_examples=200, deadline=None)
 @given(_eliminations)
-def test_rowspace_matches_dense_elimination(as_dict, case):
+def test_rowspace_matches_dense_elimination(form, case):
     F, ncols, rows, probes = case
-    given_as = (lambda v: _as_dict(F, v)) if as_dict else list
+    assume(form != "ints" or F is F2)  # packed ints are GF(2) vectors
+    given_as = {"lists": list, "dicts": lambda v: _as_dict(F, v), "ints": _as_int}[form]
     rs = RowSpace(F, ncols)
     # row i enlarges the span of rows[:i] exactly when column i is a pivot
     # of the matrix with the rows as columns
@@ -238,7 +256,8 @@ def test_matrix_matches_dense_elimination(case):
         for row, pc in zip(ref_rows, pivots):
             v[pc] = F.neg(row[fc])
         kernel.append(v)
-    assert m.kernel_basis() == kernel
+    # kernel vectors come out sparse; densified they are the reference's
+    assert [[v.get(c, z) for c in range(ncols)] for v in m.kernel_basis()] == kernel
     t = m.transpose()
     for b in probes:
         aug_rows, aug_pivots = _dense_rref(F, [r + [bv] for r, bv in zip(t.rows, b)],

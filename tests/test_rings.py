@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gradedalg.fields import PrimeField, Rationals
-from gradedalg.linalg import Matrix
+from gradedalg.linalg import Matrix, RowSpace
 from gradedalg.parsing import ring_with_relations
 from gradedalg.presets import get_preset
 from gradedalg.rings import GradedRing, PresentationError, polynomial_ring
@@ -250,3 +250,105 @@ def test_monomial_products_match_the_reference(case):
     reference = _mono_times_poly_reference(ring, m1, p)
     assert product == reference and list(product) == list(reference)
 
+
+
+# -- the coded route of unsigned rings against the tuple route -------------
+
+def _reference_component(ring, n):
+    """The tuple route coded components replaced: Macaulay rows from
+    _mono_times_poly_reference, columns looked up by exponent tuple.
+    Returns the basis and the reduction of a codegree-n polynomial."""
+    monos = ring.monomials(n)
+    index = {m: i for i, m in enumerate(monos)}
+    span = RowSpace(ring.field, len(monos))
+    for rel in ring.relations:
+        d = ring.mono_codegree(next(iter(rel)))
+        if d <= n:
+            for m in ring.monomials(n - d):
+                prod = _mono_times_poly_reference(ring, m, rel)
+                span.insert({index[mono]: c for mono, c in prod.items()})
+
+    def reduce(p):
+        return span.quotient_coords({index[mono]: c for mono, c in p.items()})
+
+    return [monos[c] for c in span.nonpivot_columns()], reduce
+
+
+def _homogeneous(draw, ring, d, max_terms=4):
+    """A polynomial drawn from the monomials of codegree d (maybe {})."""
+    monos = ring.monomials(d)
+    if not monos:
+        return {}
+    field = ring.field
+    top = field.char - 1 if field.char else 3
+    chosen = draw(st.lists(st.sampled_from(monos), max_size=max_terms, unique=True))
+    return {m: field.from_int(draw(st.integers(1, top)) * draw(st.sampled_from([1, -1])))
+            for m in chosen}
+
+
+@st.composite
+def _unsigned_rings(draw):
+    """A ring with no odd-signed generator over GF(2), GF(3) or QQ (even
+    codegrees off characteristic 2), one to four generators, up to three
+    relations, and a polynomial to multiply by."""
+    field = draw(st.sampled_from([PrimeField(2), PrimeField(3), Rationals()]))
+    step = 1 if field.char == 2 else 2
+    degrees = draw(st.lists(st.integers(1, 3).map(lambda k: k * step), min_size=1, max_size=4))
+    ring = GradedRing(field, [(f"x{i}", d) for i, d in enumerate(degrees)])
+    relations = [_homogeneous(draw, ring, draw(st.integers(step, 4 * step)))
+                 for _ in range(draw(st.integers(0, 3)))]
+    ring = GradedRing(field, ring.gens, relations)
+    p = _homogeneous(draw, ring, draw(st.integers(0, 3 * step)))
+    return ring, p, draw(st.randoms(use_true_random=False))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_unsigned_rings())
+def test_coded_components_and_tables_match_the_tuple_route(case):
+    ring, p, rnd = case
+    assert ring.coded
+    e = ring.poly_codegree(p)
+    for n in range(13):
+        basis, reduce = _reference_component(ring, n)
+        comp = ring.component(n)
+        assert comp.basis == basis, n
+        w = ring.code_width(n)
+        assert ring.codes(n, w) == [ring.code(m, w) for m in ring.monomials(n)]
+        monos = ring.monomials(n)
+        q = {m: ring.field.from_int(rnd.randint(1, 5)) for m in rnd.sample(monos, min(4, len(monos)))}
+        q = {m: c for m, c in q.items() if c != ring.field.zero()}
+        assert comp.reduce_poly(q) == reduce(q)
+        if p and n + e <= 12:
+            table = ring.times_table(p, n)
+            reduce_target = _reference_component(ring, n + e)[1]
+            for b in basis:
+                assert table[b] == reduce_target(_mono_times_poly_reference(ring, b, p))
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), Rationals()], ids=["GF2", "QQ"])
+def test_code_width_grows_with_the_codegree(field):
+    # x of codegree 8, y of codegree 2: y^4 needs 3 bits where codegree 7
+    # needed 2, and with 2 bits x and y^4 would share the code 4
+    ring = ring_with_relations(field, [("x", 8), ("y", 2)], ["x + y^4"])
+    assert ring.coded
+    assert [ring.code_width(n) for n in (7, 8)] == [2, 3]
+    for n in range(25):
+        assert ring.component(n).basis == _reference_component(ring, n)[0]
+    assert ring.dim(8) == 1 and ring.component(8).basis == [(1, 0)]
+    y = ring.gen_poly(1)
+    minus_one = field.neg(field.one())
+    assert ring.times_table(y, 6)[(0, 3)] == {0: minus_one}  # y^4 = -x
+    assert ring.component(8).reduce_poly({(0, 4): field.one()}) == {0: minus_one}
+
+
+def test_unsigned_rings_never_multiply_exponent_tuples(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("mono_times_poly called on a coded ring")
+
+    for field in (PrimeField(2), Rationals()):
+        ring = ring_with_relations(field, [("x", 2), ("y", 2), ("z", 4)], ["x*y", "x^2 + z"])
+        monkeypatch.setattr(ring, "mono_times_poly", refuse)
+        assert ring.hilbert_prefix(12) == [ring.dim(n) for n in range(13)]
+        for i in range(ring.ngens):
+            table = ring.times_table(ring.gen_poly(i), 6)
+            assert [table[b] for b in ring.component(6).basis]
