@@ -1,12 +1,13 @@
 """Exact field arithmetic over QQ, GF(p) and small extensions GF(p^k).
 
 Every field object exposes the same small protocol (zero, one, add, sub,
-mul, neg, inv, from_int, validate, format).  Elements are Fraction for the
-rationals and plain ints for every finite field: [0, p) for GF(p) and
-[0, p^k) for GF(p^k), whose int a stands for the residue polynomial with
-the base-p digits of a as coefficients.  Tuples of those coefficients
-appear only at the boundary: `format` prints them and `validate` accepts
-them.  No floating point anywhere.
+mul, neg, inv, from_int, validate, format, and `packed`, true for GF(2)
+alone, whose vectors linalg stores as ints with one bit per column).
+Elements are Fraction for the rationals and plain ints for every finite
+field: [0, p) for GF(p) and [0, p^k) for GF(p^k), whose int a stands for
+the residue polynomial with the base-p digits of a as coefficients.
+Tuples of those coefficients appear only at the boundary: `format` prints
+them and `validate` accepts them.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -29,17 +30,22 @@ def is_prime(p: int) -> bool:
     return True
 
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
 class Rationals:
     """The field QQ with Fraction elements."""
 
     char = 0
     name = "QQ"
+    packed = False
 
+    # Fractions are immutable, so every caller can share these two
     def zero(self):
-        return Fraction(0)
+        return _ZERO
 
     def one(self):
-        return Fraction(1)
+        return _ONE
 
     def from_int(self, n):
         return Fraction(n)
@@ -88,6 +94,7 @@ class PrimeField:
         self.p = p
         self.char = p
         self.name = f"GF({p})"
+        self.packed = p == 2
 
     def zero(self):
         return 0
@@ -173,6 +180,7 @@ class ExtensionField:
         self.modulus = modulus
         self.char = p
         self.name = f"GF({p}^{k})"
+        self.packed = False
         self._digits = digits = [tuple(a // p ** i % p for i in range(k)) for a in range(q)]
         enc = self._encode
         self._add = [[enc(x + y for x, y in zip(da, db)) for db in digits] for da in digits]

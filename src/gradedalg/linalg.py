@@ -2,34 +2,43 @@
 
 RowSpace is the one elimination kernel: ring and module components,
 resolution kernels, Cech ranks and Matrix's rref, rank, kernel_basis,
-image_basis and solve all reduce through it.  The field chooses how it
-stores rows.  Over GF(2), the field of every mod-2 cohomology ring, a
-row is an int with one bit per column, and reducing by a row is one
-XOR.  Every other field keeps sparse {column: value} rows, so a Macaulay
-row m * f costs its |f| terms, not the width of the matrix.  Either way
-vectors go in as lists or dicts, over GF(2) also as such ints (ring
-components hand their Macaulay rows over packed), and come out as
-{column: value} dicts.
+image_basis and solve all reduce through it.
 
-Matrix holds the same {column: value} rows, its only storage, so its
-products, transposes, block assembly and elimination touch only nonzero
-entries.  Dense lists exist only at its public boundary.  Matrices are
-immutable after construction.
+The field chooses one vector format for the whole library: ring and
+module coordinates, Matrix and RowSpace rows, kernel vectors and
+combine's sums.  Over GF(2), the field of every mod-2 cohomology ring, a
+vector is an int whose bit c is column c, so adding two vectors or
+reducing by a row is one XOR.  Every other field keeps sparse
+{column: value} dicts, so a Macaulay row m * f costs its |f| terms, not
+the width of the matrix.  `field.packed` says which, and `unit_vector`
+and `bits` build and read vectors of either kind.
+
+Matrix holds its rows in that format, its only storage, so its products,
+transposes, block assembly and elimination touch only nonzero entries
+(over GF(2), whole rows at a time).  Dense lists exist only at its
+public boundary.  Matrices are immutable after construction.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 
-from .fields import FieldError, PrimeField
+from .fields import FieldError
+
+
+def unit_vector(field, k):
+    """Coordinate vector k in the field's vector format."""
+    return 1 << k if field.packed else {k: field.one()}
 
 
 class Matrix:
-    """An immutable matrix with sparse rows: srows[i] is {column: nonzero value}.
+    """An immutable matrix whose rows srows are vectors in the field's
+    format: over GF(2) ints with bit c for column c, else
+    {column: nonzero value} dicts.
 
     That is the only storage.  Dense lists appear only at the boundary:
-    the public constructor, the .rows view, rref()'s rows and apply()'s
-    output.
+    the public constructor, the .rows view, column(), rref()'s rows and
+    the outputs of apply() and solve().
     """
 
     __slots__ = ("field", "nrows", "ncols", "srows", "_space", "_solver")
@@ -46,14 +55,11 @@ class Matrix:
         elif ncols is None:
             ncols = 0
         z = field.zero()
-        srows = []
-        for r in rows:
-            row = {}
-            for c, x in enumerate(r):
-                x = field.validate(x)
-                if x != z:
-                    row[c] = x
-            srows.append(row)
+        rows = [[field.validate(x) for x in r] for r in rows]
+        if field.packed:
+            srows = [_pack(r) for r in rows]
+        else:
+            srows = [{c: x for c, x in enumerate(r) if x != z} for r in rows]
         self._init(field, srows, ncols)
 
     def _init(self, field, srows, ncols):
@@ -64,23 +70,38 @@ class Matrix:
 
     @classmethod
     def _of(cls, field, srows, ncols):
-        """A matrix of sparse rows built here from field elements: nothing to validate."""
+        """A matrix of rows in the field's format built here from field
+        elements: nothing to validate."""
         m = cls.__new__(cls)
         m._init(field, srows, ncols)
         return m
 
     @classmethod
     def zero(cls, field, nrows, ncols):
+        if field.packed:
+            return cls._of(field, [0] * nrows, ncols)
         return cls._of(field, [{} for _ in range(nrows)], ncols)
 
     @classmethod
     def identity(cls, field, n):
-        o = field.one()
-        return cls._of(field, [{i: o} for i in range(n)], n)
+        return cls._of(field, [unit_vector(field, i) for i in range(n)], n)
 
     @classmethod
     def from_columns(cls, field, cols, nrows):
-        """The matrix with the given columns, each a list or a {row: value} dict."""
+        """The matrix with the given columns, each a list, a {row: value}
+        dict or, over GF(2), an int with bit i for row i."""
+        if field.packed:
+            srows = [0] * nrows
+            bit = 1
+            # bits() inlined: on GF(2) modules this bit transpose is the
+            # hottest loop of the library
+            for col in map(_pack, cols):
+                while col:
+                    low = col & -col
+                    srows[low.bit_length() - 1] |= bit
+                    col ^= low
+                bit <<= 1
+            return cls._of(field, srows, len(cols))
         z = field.zero()
         srows = [{} for _ in range(nrows)]
         for j, col in enumerate(cols):
@@ -95,18 +116,26 @@ class Matrix:
 
         blocks maps (block row, block column) to (sign, Matrix), sign being
         1 or -1; missing blocks are zero.  Blocks never overlap, so every
-        entry is written once.
+        entry is written once: over GF(2), where the sign is moot, a block
+        row is ORed in shifted to its block column.
         """
         row_off = [sum(row_sizes[:i]) for i in range(len(row_sizes))]
         col_off = [sum(col_sizes[:j]) for j in range(len(col_sizes))]
-        neg = field.neg
-        srows = [{} for _ in range(sum(row_sizes))]
-        for (i, j), (sign, m) in blocks.items():
-            r0, c0 = row_off[i], col_off[j]
-            for r, src in enumerate(m.srows):
-                dst = srows[r0 + r]
-                for c, x in src.items():
-                    dst[c0 + c] = x if sign == 1 else neg(x)
+        if field.packed:
+            srows = [0] * sum(row_sizes)
+            for (i, j), (_, m) in blocks.items():
+                r0, c0 = row_off[i], col_off[j]
+                for r, src in enumerate(m.srows):
+                    srows[r0 + r] |= src << c0
+        else:
+            neg = field.neg
+            srows = [{} for _ in range(sum(row_sizes))]
+            for (i, j), (sign, m) in blocks.items():
+                r0, c0 = row_off[i], col_off[j]
+                for r, src in enumerate(m.srows):
+                    dst = srows[r0 + r]
+                    for c, x in src.items():
+                        dst[c0 + c] = x if sign == 1 else neg(x)
         return cls._of(field, srows, sum(col_sizes))
 
     # -- basics -------------------------------------------------------
@@ -114,14 +143,18 @@ class Matrix:
     @property
     def rows(self):
         """The rows as dense lists, built on each access."""
-        z = self.field.zero()
-        return [[r.get(c, z) for c in range(self.ncols)] for r in self.srows]
+        return [_as_list(self.field, r, self.ncols) for r in self.srows]
 
     def column(self, j):
+        if self.field.packed:
+            return [r >> j & 1 for r in self.srows]
         z = self.field.zero()
         return [r.get(j, z) for r in self.srows]
 
     def transpose(self):
+        if self.field.packed:
+            # the rows of the transpose have the rows of self as their columns
+            return Matrix.from_columns(self.field, self.srows, self.ncols)
         cols = [{} for _ in range(self.ncols)]
         for i, row in enumerate(self.srows):
             for j, x in row.items():
@@ -137,10 +170,14 @@ class Matrix:
                                        for arow in self.srows], other.ncols)
 
     def apply(self, vec):
-        """Matrix times a column vector, a list or a {k: value} dict; returns a list."""
+        """Matrix times a column vector, a list, a {k: value} dict or, over
+        GF(2), an int; returns a list.  Over GF(2) entry i is the parity
+        of row i AND the vector."""
+        vec = self._vector(vec, self.ncols)
+        if self.field.packed:
+            return [(row & vec).bit_count() & 1 for row in self.srows]
         F = self.field
         add, mul, z = F.add, F.mul, F.zero()
-        vec = self._dense(vec, self.ncols)
         out = []
         for row in self.srows:
             acc = z
@@ -151,8 +188,13 @@ class Matrix:
             out.append(acc)
         return out
 
-    def _dense(self, vec, n):
-        """A length-n vector given as a list or a {k: value} dict, as a list."""
+    def _vector(self, vec, n):
+        """A length-n vector, given as a list, a {k: value} dict or a GF(2)
+        int: over GF(2) as an int, otherwise as a list."""
+        if self.field.packed:
+            if isinstance(vec, list) and len(vec) != n:
+                raise ValueError("vector length mismatch")
+            return _pack(vec)
         if isinstance(vec, dict):
             z = self.field.zero()
             return [vec.get(k, z) for k in range(n)]
@@ -184,27 +226,34 @@ class Matrix:
     def rref(self):
         """Reduced row echelon form: (dense rows, pivot column list)."""
         space, pivots = self._eliminated()
-        z, o = self.field.zero(), self.field.one()
-        return [[o if c == p else row.get(c, z) for c in range(self.ncols)]
-                for p, row in zip(pivots, map(space.row, pivots))], pivots
+        rows = [_as_list(self.field, space.row(p), self.ncols) for p in pivots]
+        for row, p in zip(rows, pivots):
+            row[p] = self.field.one()  # space.row leaves the pivot entry out
+        return rows, pivots
 
     def rank(self):
         return len(self._eliminated()[1])
 
     def kernel_basis(self):
-        """Basis of the right null space, as sparse {column: value} vectors.
+        """Basis of the right null space, as vectors in the field's format.
 
         One vector per non-pivot column fc: 1 there, minus column fc of the
         reduced rows at the pivots, zero elsewhere.
         """
         F = self.field
-        o = F.one()
         space, pivots = self._eliminated()
-        basis = {fc: {fc: o} for fc in space.nonpivot_columns()}
         # reduced rows hold entries only in non-pivot columns
-        for p in pivots:
-            for fc, x in space.row(p).items():
-                basis[fc][p] = F.neg(x)
+        if self.field.packed:
+            basis = {fc: 1 << fc for fc in space.nonpivot_columns()}
+            for p in pivots:
+                bit = 1 << p
+                for fc in bits(space.row(p)):
+                    basis[fc] |= bit
+        else:
+            basis = {fc: {fc: F.one()} for fc in space.nonpivot_columns()}
+            for p in pivots:
+                for fc, x in space.row(p).items():
+                    basis[fc][p] = F.neg(x)
         return list(basis.values())
 
     def image_basis(self):
@@ -213,8 +262,8 @@ class Matrix:
         return [self.column(c) for c in pivots]
 
     def solve(self, b):
-        """One solution x of Ax = b (b a list or a {k: value} dict), or None
-        if inconsistent.
+        """One solution x of Ax = b, as a list, or None if inconsistent; b
+        is a list, a {k: value} dict or, over GF(2), an int.
 
         The first call eliminates [A | I] once; every b then costs one pass
         over the reduced rows.  A reduced row [r | t] has r = tA, so a row
@@ -223,16 +272,28 @@ class Matrix:
         the reduced form of [A | b] gives.
         """
         F = self.field
-        add, mul, z = F.add, F.mul, F.zero()
-        b = self._dense(b, self.nrows)
+        b = self._vector(b, self.nrows)
         n = self.ncols
         if self._solver is None:
             space = RowSpace(F, n + self.nrows)
-            o = F.one()
             for i, row in enumerate(self.srows):
-                space.insert({**row, n + i: o})
+                if F.packed:
+                    space.insert(row | 1 << (n + i))
+                else:
+                    space.insert({**row, n + i: F.one()})
             self._solver = space, space.back_substitute()
         space, pivots = self._solver
+        if F.packed:
+            x = [0] * n
+            for p in pivots:
+                # t . b, the pivot's own entry of t included
+                acc = ((space.row(p) | 1 << p) >> n & b).bit_count() & 1
+                if p < n:
+                    x[p] = acc
+                elif acc:
+                    return None
+            return x
+        add, mul, z = F.add, F.mul, F.zero()
         x = [z] * n
         for p in pivots:
             acc = b[p - n] if p >= n else z
@@ -247,11 +308,18 @@ class Matrix:
 
 
 def combine(field, vectors, coeffs):
-    """sum of coeffs[k] * vectors[k] as a {column: value} dict.
+    """sum of coeffs[k] * vectors[k], the vectors and the sum in the
+    field's format.
 
-    vectors are {column: value} dicts; coeffs is a list or a
-    {k: value} dict, and only its nonzero entries are visited.
+    coeffs is a list, a {k: value} dict or, over GF(2), an int, and only
+    its nonzero entries are visited.  Over GF(2) the sum is the XOR of the
+    vectors at the set bits of coeffs.
     """
+    if field.packed:
+        out = 0
+        for k in bits(_pack(coeffs)):
+            out ^= vectors[k]
+        return out
     add, mul, z = field.add, field.mul, field.zero()
     out = {}
     for k, c in (coeffs.items() if isinstance(coeffs, dict) else enumerate(coeffs)):
@@ -268,19 +336,19 @@ class RowSpace:
 
     Used for spanning-set elimination: insert vectors, query membership,
     and extract quotient coordinates relative to the non-pivot columns.
-    Vectors are dense lists or {column: value} dicts, over GF(2) also ints
-    whose bit c is column c, and reduced vectors come back as
-    {column: value} dicts.  A space with no rows yet hands a vector's
-    nonzero entries back as they are.
+    Vectors go in as dense lists, {column: value} dicts or, over GF(2),
+    ints whose bit c is column c; reduced vectors and quotient
+    coordinates come back in the field's format (see the module
+    docstring).  A space with no rows yet hands a vector's nonzero
+    entries back as they are.
 
     Rows are kept in echelon form: each is reduced against the rows there
     when it arrives, and its pivot is its least nonzero column.  So the
     pivots are those of the reduced row echelon form, and a reduction,
     which clears every pivot column, is the same as against that form.
 
-    The field chooses how rows are stored.  Over GF(2) a row is an int
-    whose bit c is column c, its pivot bit included, and a reduction XORs
-    in the row of the least pivot bit left until none is: a few word
+    Over GF(2) a row is an int, its pivot bit included, and a reduction
+    XORs in the row of the least pivot bit left until none is: a few word
     operations per row instead of a Python step per entry.  Every other
     field keeps sparse {column > pivot: value} rows.  `packed` says which.
     """
@@ -288,17 +356,16 @@ class RowSpace:
     def __init__(self, field, ncols):
         self.field = field
         self.ncols = ncols
-        self.packed = isinstance(field, PrimeField) and field.p == 2
+        self.packed = field.packed
         self._rows = {}          # pivot column -> its row, stored as above
         self._pivot_bits = 0     # GF(2): the pivot columns as bits
         self._nonpivots = None   # cached with their positions; insert clears both
         self._position = None
 
     def _reduced(self, vec):
-        """vec as a {column: value} dict, reduced until no pivot column is left."""
+        """vec, over a field other than GF(2), as a {column: value} dict
+        reduced until no pivot column is left."""
         rows = self._rows
-        if self.packed and rows:
-            return dict.fromkeys(_bits(self._reduced_bits(_pack(vec))), 1)
         F = self.field
         z = F.zero()
         v = _entries(vec, z)
@@ -342,11 +409,15 @@ class RowSpace:
             hit = v & pivot_bits
         return v
 
+    def _reduced_any(self, vec):
+        """vec reduced, in the field's format."""
+        if self.packed:
+            return self._reduced_bits(_pack(vec))
+        return self._reduced(vec)
+
     def reduce(self, vec):
         """Reduce `vec` against the current rows (returns a new list)."""
-        v = self._reduced(vec)
-        z = self.field.zero()
-        return [v.get(c, z) for c in range(self.ncols)]
+        return _as_list(self.field, self._reduced_any(vec), self.ncols)
 
     def insert(self, vec):
         """Insert a vector; returns True if it enlarged the space."""
@@ -371,17 +442,18 @@ class RowSpace:
         return True
 
     def contains(self, vec):
-        return not self._reduced(vec)
+        return not self._reduced_any(vec)
 
     @property
     def dim(self):
         return len(self._rows)
 
     def row(self, p):
-        """The row whose pivot is column p, as {column > p: value}; its
-        entry at p is 1.  After back_substitute it is a reduced row."""
+        """The row whose pivot is column p without its entry 1 at p: over
+        GF(2) an int, else {column > p: value}.  After back_substitute it
+        is a reduced row."""
         if self.packed:
-            return dict.fromkeys(_bits(self._rows[p] ^ (1 << p)), 1)
+            return self._rows[p] ^ (1 << p)
         return self._rows[p]
 
     def nonpivot_columns(self):
@@ -390,20 +462,24 @@ class RowSpace:
         return self._nonpivots
 
     def quotient_coords(self, vec):
-        """Coordinates of `vec` in the quotient by this space, as
-        {non-pivot position: value}.
+        """Coordinates of `vec` in the quotient by this space, in the
+        field's format: over GF(2) an int with bit k for non-pivot
+        position k, else {non-pivot position: value}.
 
         The quotient basis is the set of non-pivot coordinate vectors.
         With no pivots yet, positions are columns.
         """
         if not self._rows:
-            return _entries(vec, self.field.zero())
+            return _pack(vec) if self.packed else _entries(vec, self.field.zero())
         if self._position is None:
             self._position = {c: k for k, c in enumerate(self.nonpivot_columns())}
         position = self._position
         # the reduced vector has no pivot column left
         if self.packed:
-            return {position[c]: 1 for c in _bits(self._reduced_bits(_pack(vec)))}
+            out = 0
+            for c in bits(self._reduced_bits(_pack(vec))):
+                out |= 1 << position[c]
+            return out
         return {position[c]: x for c, x in self._reduced(vec).items()}
 
     def back_substitute(self):
@@ -423,11 +499,20 @@ class RowSpace:
         return pivots
 
 
-def _entries(vec, z):
-    """The entries other than z of vec, a list, a {column: value} dict or
-    a packed GF(2) int, as a new {column: value} dict."""
+def _as_list(field, vec, n):
+    """The length-n vector vec, a {column: value} dict or a GF(2) int, as
+    a list; a list is returned as it is."""
     if isinstance(vec, int):
-        return dict.fromkeys(_bits(vec), 1)
+        return [vec >> c & 1 for c in range(n)]
+    if isinstance(vec, dict):
+        z = field.zero()
+        return [vec.get(c, z) for c in range(n)]
+    return vec
+
+
+def _entries(vec, z):
+    """The entries other than z of vec, a list or a {column: value} dict,
+    as a new {column: value} dict."""
     return {c: x for c, x in (vec.items() if isinstance(vec, dict) else enumerate(vec))
             if x != z}
 
@@ -444,8 +529,9 @@ def _pack(vec):
     return v
 
 
-def _bits(v):
-    """The positions of the set bits of the int v, lowest first."""
+def bits(v):
+    """The positions of the set bits of the int v, lowest first: the
+    nonzero columns of a packed GF(2) vector."""
     out = []
     while v:
         low = v & -v

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .linalg import Matrix, RowSpace, combine
+from .linalg import Matrix, RowSpace, combine, unit_vector
 from .modules import FreeModule, PolyMatrix
 from .resolution import minimal_resolution
 
@@ -148,14 +148,14 @@ class _KoszulCochainSlice:
 
     def cocycles(self, i):
         """A basis of the kernel of the differential out of cochain degree i,
-        as sparse {position: value} vectors; at the top degree, where every
+        as vectors in the field's format; at the top degree, where every
         cochain is a cocycle, the unit vectors."""
         dim_i = self.term_dim(i)
         if dim_i == 0:
             return []
         if i < len(self.elements):
             return self.differential(i).kernel_basis()
-        return [{c: self.module.ring.field.one()} for c in range(dim_i)]
+        return [unit_vector(self.module.ring.field, c) for c in range(dim_i)]
 
     def transition_to(self, other, i) -> Matrix:
         """Chain map slice induced by raising levels (multiply by the gaps)."""

@@ -221,7 +221,7 @@ class GroupModule:
 
     def submodule_span(self, vectors):
         """Basis of the smallest submodule containing the vectors (lists or
-        {position: value} dicts, as they come)."""
+        vectors in the field's format, as they come)."""
         span = RowSpace(self.field, self.dim)
         basis = []
         queue = list(vectors)

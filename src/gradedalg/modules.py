@@ -2,8 +2,10 @@
 
 All degreewise computations funnel through ring components, so every
 coordinate already lives in the quotient-ring basis of its codegree.
-Coordinates are sparse {position: value} dicts, the column format of
-Matrix.from_columns.
+Coordinates are vectors in the field's format (see linalg), the column
+format of Matrix.from_columns: over GF(2) packed ints, bit k for
+position k, so a free-module vector is its slots' coordinates ORed in at
+their offsets; over every other field sparse {position: value} dicts.
 A free-module codegree-n basis is the list of pairs (slot, monomial)
 with the monomial running over the quotient basis of the complementary
 codegree.
@@ -11,7 +13,7 @@ codegree.
 
 from __future__ import annotations
 
-from .linalg import Matrix, RowSpace
+from .linalg import Matrix, RowSpace, bits
 from .rings import GradedRing, PresentationError
 
 
@@ -52,18 +54,23 @@ class FreeModule:
         return len(self.basis(n))
 
     def coords_of(self, element, n):
-        """Coordinates {position: value} at codegree n of a polynomial vector
-        (one poly per slot)."""
-        out = {}
+        """Coordinates at codegree n of a polynomial vector (one poly per
+        slot)."""
+        packed = self.ring.field.packed
+        out = 0 if packed else {}
         for j, (s, off) in enumerate(zip(self.shifts, self.offsets(n))):
             if element[j]:
-                for k, x in self.ring.component(n - s).reduce_poly(element[j]).items():
-                    out[off + k] = x
+                coords = self.ring.component(n - s).reduce_poly(element[j])
+                if packed:
+                    out |= coords << off
+                else:
+                    for k, x in coords.items():
+                        out[off + k] = x
         return out
 
     def images(self, pairs, columns, n):
-        """Coordinates {position: value} at codegree n of mono * columns[j]
-        for each (j, mono), mono a basis monomial.
+        """Coordinates at codegree n of mono * columns[j] for each (j, mono),
+        mono a basis monomial.
 
         columns[j] is a homogeneous polynomial vector in the slots of this
         module, so the monomials paired with j share one codegree.  Each
@@ -72,6 +79,7 @@ class FreeModule:
         """
         ring = self.ring
         offsets = self.offsets(n)
+        packed = ring.field.packed
         tables = {}   # (id of polynomial, codegree) -> times_table
         parts = {}    # j -> [(slot offset, table)]
         out = []
@@ -84,10 +92,15 @@ class FreeModule:
                         if (id(p), a) not in tables:
                             tables[id(p), a] = ring.times_table(p, a)
                         parts[j].append((offsets[i], tables[id(p), a]))
-            v = {}
-            for off, table in parts[j]:
-                for k, x in table[mono].items():
-                    v[off + k] = x
+            if packed:
+                v = 0
+                for off, table in parts[j]:
+                    v |= table[mono] << off
+            else:
+                v = {}
+                for off, table in parts[j]:
+                    for k, x in table[mono].items():
+                        v[off + k] = x
             out.append(v)
         return out
 
@@ -97,11 +110,13 @@ class FreeModule:
                 for j in range(self.rank)]
 
     def element_of(self, coords, n):
-        """Inverse of coords_of: coordinates (a list or a {position: value}
-        dict) -> polynomial vector."""
+        """Inverse of coords_of: coordinates (a list, a {position: value}
+        dict or, over GF(2), an int) -> polynomial vector."""
         z = self.ring.field.zero()
         basis = self.basis(n)
         element = [{} for _ in self.shifts]
+        if isinstance(coords, int):
+            coords = dict.fromkeys(bits(coords), 1)
         for pos, c in (coords.items() if isinstance(coords, dict) else enumerate(coords)):
             if c != z:
                 j, mono = basis[pos]
@@ -274,11 +289,16 @@ class ModuleComponent:
         self.dim = len(self.basis)
 
     def reduce(self, free_coords):
-        """Free-module coordinates -> module quotient coordinates {position: value}."""
+        """Free-module coordinates -> module quotient coordinates."""
         return self._span.quotient_coords(free_coords)
 
     def lift(self, coords):
-        """Quotient coordinates {position: value} -> a representative in
-        free coordinates {position: value}."""
+        """Quotient coordinates -> a representative in free coordinates,
+        both in the field's format."""
         nonpivots = self._span.nonpivot_columns()
+        if isinstance(coords, int):
+            out = 0
+            for k in bits(coords):
+                out |= 1 << nonpivots[k]
+            return out
         return {nonpivots[k]: x for k, x in coords.items()}

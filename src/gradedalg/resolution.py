@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import Matrix, RowSpace, combine
+from .linalg import Matrix, RowSpace, combine, unit_vector
 from .modules import FreeModule, GradedModule, PolyMatrix
 
 
@@ -116,7 +116,7 @@ def _minimal_generators_of_module(module: GradedModule, codegree_max):
             for col in module.mult_matrix(ring.gen_poly(i), n - dx).transpose().srows:
                 span.insert(col)
         for k in range(comp.dim):
-            e = {k: ring.field.one()}
+            e = unit_vector(ring.field, k)
             if span.insert(e):
                 gens.append((n, module.free.element_of(comp.lift(e), n)))
     return gens

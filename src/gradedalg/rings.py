@@ -17,6 +17,11 @@ A product of monomials is then the sum of their codes, and over GF(2) a
 row m * f enters RowSpace already packed, one bit per column.  Rings with
 odd-signed generators multiply exponent tuples with mono_times_poly, which
 tracks signs and odd squares.
+
+Coordinates in a component's basis (RingComponent.coords, reduce_poly
+and the times-table entries) are vectors in the field's format (see
+linalg): over GF(2) packed ints, bit k for basis position k; over every
+other field sparse {position: value} dicts.
 """
 
 from __future__ import annotations
@@ -238,8 +243,8 @@ class GradedRing:
         return self._component_cache[n]
 
     def times_table(self, p, a):
-        """{b: sparse coordinates in R_(a+|p|) of b * p} for the basis monomials
-        b of R_a, each entry computed on its first lookup.
+        """{b: coordinates in R_(a+|p|) of b * p} for the basis monomials b
+        of R_a, each entry computed on its first lookup.
 
         b multiplies on the left, which fixes the signs of odd generators.
         Only the tables of the generators are kept here: every free module,
@@ -365,11 +370,11 @@ class RingComponent:
         return dict(zip(cols, coeffs))
 
     def coords(self, b, terms):
-        """Coordinates {basis position: value} of b * p (see product)."""
+        """Coordinates of b * p in the basis (see product)."""
         return self._span.quotient_coords(self.product(b, terms))
 
     def reduce_poly(self, p):
-        """Coordinates {basis position: value} of a codegree-n polynomial."""
+        """Coordinates in the basis of a codegree-n polynomial."""
         if p and self.ring.poly_codegree(p) != self.n:
             raise PresentationError(f"polynomial is not of codegree {self.n}")
         return self.coords(self.key((0,) * self.ring.ngens), self.terms(p))

@@ -1,5 +1,6 @@
 import pytest
 
+from gradedalg.fields import PrimeField
 from gradedalg.presets import preset_run
 
 
@@ -22,3 +23,25 @@ def check_named(report, check_name):
             return c
     raise AssertionError(f"{report['name']} has no check {check_name!r}; "
                          f"has {[c['check'] for c in report['checks']]}")
+
+
+def densified(field, vec, n):
+    """A length-n vector as a list, checked to be in its field's format.
+
+    vec is a list, or a vector as the library hands it out: over GF(2) an
+    int whose bit c is column c, over every other field a
+    {column: nonzero value} dict.  Comparing the lists compares the
+    vectors exactly, and a bit or key outside 0..n-1, a stored zero or a
+    vector in the other field's format fails here.
+    """
+    if isinstance(vec, list):
+        assert len(vec) == n
+        return vec
+    packed = field == PrimeField(2)
+    if isinstance(vec, int):
+        assert packed and 0 <= vec < 1 << n, (field, vec, n)
+        return [vec >> c & 1 for c in range(n)]
+    assert not packed and isinstance(vec, dict), (field, vec)
+    z = field.zero()
+    assert all(0 <= c < n and x != z for c, x in vec.items()), (vec, n)
+    return [vec.get(c, z) for c in range(n)]

@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from conftest import densified
 from gradedalg.fields import ExtensionField, FieldError, PrimeField, Rationals
-from gradedalg.linalg import Matrix, RowSpace
+from gradedalg.linalg import Matrix, RowSpace, combine
 
 F2 = PrimeField(2)
 F5 = PrimeField(5)
@@ -59,10 +60,12 @@ def test_empty_rowspace_hands_back_the_nonzero_entries():
                                 (F2, [1, 0, 1], {0: 1, 2: 1}), (F2, 0b101, {0: 1, 2: 1})):
         rs = RowSpace(field, 3)
         for out in (rs.quotient_coords(vec), rs.reduce(vec)):
-            dense = out if isinstance(out, list) else [out.get(c, 0) for c in range(3)]
-            assert dense == [entries.get(c, 0) for c in range(3)]
+            assert densified(field, out, 3) == [entries.get(c, 0) for c in range(3)]
         out = rs.quotient_coords(vec)
-        assert out == entries and out is not vec
+        if field is F2:  # packed, and a packed vector comes back as it is
+            assert out == 0b101
+        else:
+            assert out == entries and out is not vec
 
 
 def test_public_matrix_validates_its_entries():
@@ -236,8 +239,8 @@ def test_rowspace_matches_dense_elimination(form, case):
     for vec in probes + rows:
         reduced = _dense_reduce(F, ref_rows, pivots, vec)
         assert rs.reduce(given_as(vec)) == reduced
-        assert rs.quotient_coords(given_as(vec)) == {
-            k: reduced[c] for k, c in enumerate(nonpivots) if reduced[c] != F.zero()}
+        assert densified(F, rs.quotient_coords(given_as(vec)), len(nonpivots)) == [
+            reduced[c] for c in nonpivots]
         assert rs.contains(given_as(vec)) == all(x == F.zero() for x in reduced)
 
 
@@ -256,8 +259,9 @@ def test_matrix_matches_dense_elimination(case):
         for row, pc in zip(ref_rows, pivots):
             v[pc] = F.neg(row[fc])
         kernel.append(v)
-    # kernel vectors come out sparse; densified they are the reference's
-    assert [[v.get(c, z) for c in range(ncols)] for v in m.kernel_basis()] == kernel
+    # kernel vectors come out in the field's format; densified they are the
+    # reference's
+    assert [densified(F, v, ncols) for v in m.kernel_basis()] == kernel
     t = m.transpose()
     for b in probes:
         aug_rows, aug_pivots = _dense_rref(F, [r + [bv] for r, bv in zip(t.rows, b)],
@@ -358,3 +362,131 @@ def test_matrix_equality_sees_shape_and_entries():
     assert Matrix(F5, [], ncols=2) != Matrix(F5, [], ncols=3)
     assert Matrix.zero(F5, 0, 2) == Matrix(F5, [], ncols=2)
     assert Matrix(F5, [[0, 6]]) == Matrix(F5, [[5, 1]])
+
+
+# -- Matrix against dense references, GF(2) rows up to 200 columns wide ----
+
+def _dense_solution(F, rows, ncols, b):
+    """The solution of rows . x = b with every free variable zero, from the
+    reduced form of [rows | b], or None when that system is inconsistent."""
+    aug_rows, aug_pivots = _dense_rref(F, [r + [x] for r, x in zip(rows, b)], ncols + 1)
+    if ncols in aug_pivots:
+        return None
+    x = [F.zero()] * ncols
+    for row, pc in zip(aug_rows, aug_pivots):
+        x[pc] = row[-1]
+    return x
+
+
+def _dense_kernel(F, rows, ncols):
+    """The kernel vectors the reduced form gives, one per non-pivot column."""
+    ref_rows, pivots = _dense_rref(F, rows, ncols)
+    kernel = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [F.zero()] * ncols
+        v[fc] = F.one()
+        for row, pc in zip(ref_rows, pivots):
+            v[pc] = F.neg(row[fc])
+        kernel.append(v)
+    return kernel
+
+
+def _forms(F, vec):
+    """vec as every input the library takes: a list, a {column: value} dict
+    and, over GF(2), an int."""
+    out = [list(vec), _as_dict(F, vec)]
+    if F is F2:
+        out.append(_as_int(vec))
+    return out
+
+
+@st.composite
+def _matrix_references(draw):
+    """A field, matrices a (n x k), b (k x m) and c (p x n), vectors, and a
+    block layout with random signs and missing blocks, all as dense lists.
+
+    A fifth of the cases are GF(2) ones that draw k from 31 to 200 and the
+    block widths from 31 to 80, so packed rows, columns, kernel vectors and
+    shifted blocks span several int digits.
+    """
+    kind = draw(st.sampled_from(["wide GF(2)", F2, F5, F4, QQ]))
+    wide = kind == "wide GF(2)"
+    field = F2 if wide else kind
+    values = [field.zero()] * 2 + [field.from_int(k) for k in (1, -1, 2)]
+    if field is F4:
+        values.append(field.generator())
+    elem = st.sampled_from(values)
+
+    def vector(width):
+        if field is F2:
+            bits = draw(st.integers(0, 2 ** width - 1))
+            return [bits >> c & 1 for c in range(width)]
+        return [draw(elem) for _ in range(width)]
+
+    def dense(nrows, ncols):
+        return [vector(ncols) for _ in range(nrows)]
+
+    small = st.integers(0, 5)
+    n, m, p = draw(small), draw(small), draw(small)
+    k = draw(st.integers(31, 200) if wide else small)
+    a, b, c = dense(n, k), dense(k, m), dense(p, n)
+    vectors = {"k": vector(k), "n": vector(n)}
+    # a right side a * x is always solvable
+    x = vector(k)
+    vectors["image"] = _dense_apply(field, a, x)
+    width = st.integers(31, 80) if wide else st.integers(0, 3)
+    row_sizes = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    col_sizes = draw(st.lists(width, min_size=1, max_size=3))
+    blocks = {}
+    for i, r in enumerate(row_sizes):
+        for j, w in enumerate(col_sizes):
+            if draw(st.booleans()):
+                blocks[i, j] = (draw(st.sampled_from([1, -1])), Matrix(field, dense(r, w), w))
+    return field, (a, n, k), (b, k, m), (c, p, n), vectors, row_sizes, col_sizes, blocks
+
+
+@settings(max_examples=200, deadline=None)
+@given(_matrix_references())
+def test_matrix_matches_dense_references(case):
+    F, (a_rows, n, k), (b_rows, _, m), (c_rows, p, _), vectors, row_sizes, col_sizes, \
+        blocks = case
+    a, b, c = Matrix(F, a_rows, k), Matrix(F, b_rows, m), Matrix(F, c_rows, n)
+    assert a.rows == a_rows and (a.nrows, a.ncols) == (n, k)
+    # products: a * b sums narrow rows of b, c * a sums wide rows of a
+    assert a.mul(b).rows == _dense_mul(F, a_rows, b_rows, m)
+    assert c.mul(a).rows == _dense_mul(F, c_rows, a_rows, k)
+    for coeffs in c_rows:
+        for given_as in _forms(F, coeffs):
+            assert densified(F, combine(F, a.srows, given_as), k) == _dense_mul(
+                F, [coeffs], a_rows, k)[0]
+    for given_as in _forms(F, vectors["k"]):
+        assert a.apply(given_as) == _dense_apply(F, a_rows, vectors["k"])
+    # transposes, and columns in every form
+    t = a.transpose()
+    t_rows = [[r[j] for r in a_rows] for j in range(k)]
+    assert t.rows == t_rows and (t.nrows, t.ncols) == (k, n)
+    assert t.transpose() == a
+    for matrix, rows, cols in ((a, a_rows, k), (t, t_rows, n)):
+        columns = [[r[j] for r in rows] for j in range(cols)]
+        assert [matrix.column(j) for j in range(cols)] == columns
+        for form in range(len(_forms(F, []))):
+            given_as = [_forms(F, col)[form] for col in columns]
+            assert Matrix.from_columns(F, given_as, len(rows)) == matrix
+    # kernel vectors: exactly the reference's, and a maps them to zero
+    kernel = [densified(F, v, k) for v in a.kernel_basis()]
+    assert kernel == _dense_kernel(F, a_rows, k)
+    assert all(x == F.zero() for v in kernel for x in a.apply(v))
+    # solutions, with every free variable zero, on wide and narrow systems
+    for matrix, rows, cols, rhs in ((a, a_rows, k, vectors["n"]), (a, a_rows, k, vectors["image"]),
+                                    (t, t_rows, n, vectors["k"])):
+        expected = _dense_solution(F, rows, cols, rhs)
+        for given_as in _forms(F, rhs):
+            assert matrix.solve(given_as) == expected
+    assert a.solve(vectors["image"]) is not None
+    # blocks: shifted into place with their signs
+    blocked = Matrix.from_blocks(F, row_sizes, col_sizes, blocks)
+    expected = _dense_blocks(F, row_sizes, col_sizes, blocks)
+    assert blocked.rows == expected
+    assert (blocked.nrows, blocked.ncols) == (sum(row_sizes), sum(col_sizes))
+    assert blocked.transpose().rows == [[r[j] for r in expected] for j in range(sum(col_sizes))]
+
