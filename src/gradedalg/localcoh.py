@@ -3,7 +3,8 @@
 Two independent routes are provided.
 
 cech_table computes the stable Koszul (Cech) cohomology as a colimit of
-finite-level Koszul cochain complexes on powers of the ideal generators.
+finite-level Koszul cochain complexes on powers of the ideal generators,
+whose slices and multiplication blocks come from koszul.KoszulComplex.
 Each degreewise dimension is reported with a "certified" flag: the rank
 of the composite transition map between levels was equal over `window`
 consecutive level steps.  That is a stopping rule, not a proof that the
@@ -18,9 +19,8 @@ minimal free resolution and its dual complex.
 
 from __future__ import annotations
 
-from itertools import combinations
-
-from .linalg import Matrix, RowSpace, combine, unit_vector
+from .koszul import KoszulComplex, KoszulError
+from .linalg import RowSpace, combine
 from .modules import FreeModule, PolyMatrix
 from .resolution import minimal_resolution
 
@@ -47,9 +47,6 @@ class CohomologyTable:
     def all_certified(self):
         return all(self.certified.values())
 
-    def row(self, i):
-        return {n: self.dims[(i, n)] for n in self.degrees if (i, n) in self.dims}
-
     def nonzero_indices(self):
         return sorted({i for (i, n), v in self.dims.items() if v})
 
@@ -59,124 +56,13 @@ class CohomologyTable:
         return f"CohomologyTable({self.method}; {rows})"
 
 
-class _PowerBlocks:
-    """Multiplication by a^e = prod_j a_j^(e_j) from module codegree m, each
-    block built once.
-
-    e is an exponent vector on the ideal generators a_j.  Every Cech
-    differential block and every transition block is one of these, so the
-    slices of one cech_table call share a single instance.  The factors of
-    a^e are multiplied in increasing j, which fixes the signs of odd
-    elements.  A zero power (a nilpotent raised past its order) gives None,
-    a missing block.
-    """
-
-    def __init__(self, module, elements):
-        self.module = module
-        self.elements = elements
-        self._powers = {}   # e -> a^e
-        self._blocks = {}   # (e, m) -> Matrix or None
-
-    def block(self, e, m):
-        if (e, m) not in self._blocks:
-            if e not in self._powers:
-                ring = self.module.ring
-                p = ring.pconst(1)
-                for a, k in zip(self.elements, e):
-                    if k:
-                        p = ring.pmul(p, ring.ppow(a, k))
-                self._powers[e] = p
-            p = self._powers[e]
-            self._blocks[e, m] = self.module.mult_matrix(p, m) if p else None
-        return self._blocks[e, m]
-
-    def drop_below(self, m):
-        """Forget the blocks out of module codegrees below m."""
-        self._blocks = {k: v for k, v in self._blocks.items() if k[1] >= m}
-
-
-class _KoszulCochainSlice:
-    """The codegree-n slice of the Koszul cochain complex on alpha_j^{s_j}.
-
-    Blocks come from `blocks`, a _PowerBlocks shared with the other slices
-    on the same module and elements.
-    """
-
-    def __init__(self, module, elements, codegrees, levels, n, blocks):
-        self.module = module
-        self.elements = elements
-        self.codegrees = codegrees
-        self.levels = tuple(levels)
-        self.n = n
-        self.blocks = blocks
-        c = len(elements)
-        self.subsets = [list(combinations(range(c), i)) for i in range(c + 1)]
-        self._diffs = {}
-
-    def subset_degree(self, S):
-        return self.n + sum(self.levels[j] * self.codegrees[j] for j in S)
-
-    def sizes(self, i):
-        """Dimension of each summand of cochain degree i."""
-        return [self.module.dim(self.subset_degree(S)) for S in self.subsets[i]]
-
-    def term_dim(self, i):
-        return sum(self.sizes(i))
-
-    def differential(self, i) -> Matrix:
-        """The map from cochain degree i to i + 1."""
-        if i in self._diffs:
-            return self._diffs[i]
-        c = len(self.elements)
-        tgt_index = {S: k for k, S in enumerate(self.subsets[i + 1])}
-        blocks = {}
-        for k, S in enumerate(self.subsets[i]):
-            for l in range(c):
-                if l in S:
-                    continue
-                e = tuple(self.levels[l] if j == l else 0 for j in range(c))
-                block = self.blocks.block(e, self.subset_degree(S))
-                if block is None:
-                    continue
-                T = tuple(sorted(S + (l,)))
-                sign = -1 if sum(1 for x in S if x < l) % 2 else 1
-                blocks[tgt_index[T], k] = (sign, block)
-        m = Matrix.from_blocks(self.module.ring.field, self.sizes(i + 1),
-                               self.sizes(i), blocks)
-        self._diffs[i] = m
-        return m
-
-    def cocycles(self, i):
-        """A basis of the kernel of the differential out of cochain degree i,
-        as vectors in the field's format; at the top degree, where every
-        cochain is a cocycle, the unit vectors."""
-        dim_i = self.term_dim(i)
-        if dim_i == 0:
-            return []
-        if i < len(self.elements):
-            return self.differential(i).kernel_basis()
-        return [unit_vector(self.module.ring.field, c) for c in range(dim_i)]
-
-    def transition_to(self, other, i) -> Matrix:
-        """Chain map slice induced by raising levels (multiply by the gaps)."""
-        blocks = {}
-        for k, S in enumerate(self.subsets[i]):
-            e = tuple(other.levels[j] - self.levels[j] if j in S else 0
-                      for j in range(len(self.elements)))
-            block = self.blocks.block(e, self.subset_degree(S))
-            if block is not None:
-                blocks[k, k] = (1, block)
-        return Matrix.from_blocks(self.module.ring.field, other.sizes(i),
-                                  self.sizes(i), blocks)
-
-
 def _induced_rank(low, high, i):
     """Rank of the map on degree-i cohomology induced by the transition."""
     kb_low = low.cocycles(i)
     if not kb_low:
         return 0
     images = low.transition_to(high, i).transpose().srows  # column by column
-    F = low.module.ring.field
+    F = low.K.ring.field
     dim_high = high.term_dim(i)
     span = RowSpace(F, dim_high)
     if i > 0:
@@ -198,39 +84,31 @@ def cech_table(module, elements, degrees=None, stab_bound=16, buffer=8,
     the colimit has stabilized.  Cells that never reach it inside
     stab_bound are reported with their last rank and certified=False.
 
-    Every differential and transition block is multiplication by a
-    product of powers of the elements from one module codegree.  One
-    _PowerBlocks per call, keyed by exponent vector and source codegree,
-    builds each power and each block once for all slices, and goes when
-    the call returns.  Slices are dropped once their codegree n is done,
-    and blocks once their source codegree is below every n still to do.
+    The slices come from one KoszulComplex per call, whose block cache
+    builds each power of the elements and each multiplication block once
+    for all slices, and goes when the call returns.  Slices are dropped
+    once their codegree n is done, and blocks once their source codegree
+    is below every n still to do.
     """
-    ring = module.ring
-    elements = list(elements)
-    codegs = []
-    for a in elements:
-        d = ring.poly_codegree(a)
-        if d is None or d < 1:
-            raise LocalCohomologyError("ideal generators must be homogeneous of codegree >= 1")
-        codegs.append(d)
+    try:
+        K = KoszulComplex(module.ring, elements, module)
+    except KoszulError as exc:
+        raise LocalCohomologyError(f"ideal generators: {exc}") from exc
     if degrees is None:
         degrees = range(-20, 21)
     degrees = list(degrees)
-    c = len(elements)
-    table = CohomologyTable(degrees, c, "cech")
-    blocks = _PowerBlocks(module, elements)
+    table = CohomologyTable(degrees, K.c, "cech")
 
     for k, n in enumerate(degrees):
         slices = {}  # levels -> slice at this n
 
         def get_slice(levels):
             if levels not in slices:
-                slices[levels] = _KoszulCochainSlice(module, elements, codegs,
-                                                     levels, n, blocks)
+                slices[levels] = K.slice(levels, n)
             return slices[levels]
 
-        base = [max(1, -((n - buffer) // d)) for d in codegs]
-        for i in range(c + 1):
+        base = [max(1, -((n - buffer) // d)) for d in K.codegrees]
+        for i in range(K.c + 1):
             ranks = []
             value = None
             certified = False
@@ -247,7 +125,7 @@ def cech_table(module, elements, degrees=None, stab_bound=16, buffer=8,
             table.set(i, n, value, certified)
         # a slice at codegree n uses blocks out of codegrees >= n only
         if k + 1 < len(degrees):
-            blocks.drop_below(min(degrees[k + 1:]))
+            K.drop_below(min(degrees[k + 1:]))
     return table
 
 

@@ -1,9 +1,10 @@
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from gradedalg.fields import PrimeField, Rationals
-from gradedalg.koszul import KoszulComplex, koszul_homology, is_regular_sequence
+from gradedalg.koszul import KoszulComplex, KoszulError, koszul_homology, is_regular_sequence
 from gradedalg.linalg import Matrix
-from gradedalg.localcoh import _KoszulCochainSlice, _PowerBlocks, cech_table
+from gradedalg.localcoh import LocalCohomologyError, cech_table
 from gradedalg.modules import GradedModule
 from gradedalg.parsing import parse_poly, ring_with_relations
 
@@ -38,6 +39,29 @@ def test_window_limited_verdict_on_a_big_module():
     x, y = parse_poly("x", ring), parse_poly("y", ring)
     verdict, _ = is_regular_sequence(ring, [x, y])
     assert verdict is None  # R itself never vanishes inside the window
+
+
+def test_regular_verdict_needs_the_window_to_reach_the_presentation():
+    # the residue field in codegree 30 is killed by x, but the window stops
+    # at 24, below its generator: no exact verdict either way
+    ring = ring_with_relations(F2, [("x", 1), ("y", 1)], [])
+    x, y = parse_poly("x", ring), parse_poly("y", ring)
+    k30 = GradedModule(ring, [30], [[x], [y]])
+    assert is_regular_sequence(ring, [x], module=k30) == (None, {"window": 24})
+    verdict, detail = is_regular_sequence(ring, [x], codegree_max=40, module=k30)
+    assert verdict is False and detail["n"] == 31
+
+
+def test_constant_and_inhomogeneous_elements_are_rejected():
+    ring = ring_with_relations(F2, [("x", 1), ("y", 2)], [])
+    x = parse_poly("x", ring)
+    module = GradedModule.ring_as_module(ring)
+    for bad in ("1", "x + y", "0"):
+        bad = parse_poly(bad, ring)
+        with pytest.raises(KoszulError):
+            KoszulComplex(ring, [x, bad])
+        with pytest.raises(LocalCohomologyError):
+            cech_table(module, [x, bad], range(0, 2))
 
 
 def test_koszul_homology_of_residue_field_is_exterior():
@@ -87,10 +111,51 @@ def _complexes(draw, recipes=_recipes):
     return KoszulComplex(ring, elements, module)
 
 
+def _reference_chain(K, n):
+    """The Koszul chain complex in codegree n, built directly: the subset S
+    shifts M by the codegrees of its elements, and d_i removes the element
+    at position p of S with sign (-1)^p.  Returns (term dims, {i: d_i})."""
+    shifts = [[sum(K.codegrees[j] for j in S) for S in K.subsets[i]]
+              for i in range(K.c + 1)]
+    sizes = [[K.module.dim(n - s) for s in row] for row in shifts]
+    diffs = {}
+    for i in range(1, K.c + 1):
+        tgt_index = {S: k for k, S in enumerate(K.subsets[i - 1])}
+        blocks = {}
+        for k, (S, s) in enumerate(zip(K.subsets[i], shifts[i])):
+            for pos, l in enumerate(S):
+                T = tuple(x for x in S if x != l)
+                blocks[tgt_index[T], k] = (
+                    -1 if pos % 2 else 1, K.module.mult_matrix(K.elements[l], n - s))
+        diffs[i] = Matrix.from_blocks(K.ring.field, sizes[i - 1], sizes[i], blocks)
+    return [sum(row) for row in sizes], diffs
+
+
+def _reference_homology(K, i, n):
+    dims, diffs = _reference_chain(K, n)
+    rank_in = diffs[i + 1].rank() if i < K.c else 0
+    rank_out = diffs[i].rank() if i > 0 else 0
+    return dims[i] - rank_in - rank_out
+
+
 @settings(max_examples=200, deadline=None)
 @given(_complexes())
 def test_random_koszul_differentials_square_to_zero(K):
-    assert K.check_complex(range(0, 7))
+    for n in range(0, 7):
+        s = K.slice((1,) * K.c, n - sum(K.codegrees))  # what homology_dim reads
+        _, diffs = _reference_chain(K, n)
+        for i in range(K.c - 1):
+            assert s.differential(i + 1).mul(s.differential(i)).is_zero()
+            assert diffs[i + 1].mul(diffs[i + 2]).is_zero()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_complexes(st.one_of(_recipes, _signed_recipes)))
+def test_homology_matches_the_chain_complex_reference(K):
+    for n in range(-1, 7):
+        for i in range(-1, K.c + 2):
+            want = _reference_homology(K, i, n) if 0 <= i <= K.c else 0
+            assert K.homology_dim(i, n) == want, (i, n)
 
 
 @settings(max_examples=200, deadline=None)
@@ -100,9 +165,7 @@ def test_random_cech_slices_are_complexes_and_transitions_are_chain_maps(K, data
     low = data.draw(levels)
     high = [a + b for a, b in zip(low, data.draw(levels))]
     n = data.draw(st.integers(-2, 2))
-    blocks = _PowerBlocks(K.module, K.elements)
-    lo, hi = (_KoszulCochainSlice(K.module, K.elements, K.codegrees, s, n, blocks)
-              for s in (low, high))
+    lo, hi = (K.slice(s, n) for s in (low, high))
     for s in (lo, hi):
         for i in range(K.c - 1):
             assert s.differential(i + 1).mul(s.differential(i)).is_zero()
@@ -114,50 +177,51 @@ def test_random_cech_slices_are_complexes_and_transitions_are_chain_maps(K, data
 def _reference_differential(s, i):
     """The slice differential with every block built on its own: multiply
     by ring.ppow of the one element added, no shared cache."""
-    ring = s.module.ring
-    tgt_index = {S: k for k, S in enumerate(s.subsets[i + 1])}
+    K = s.K
+    ring = K.ring
+    tgt_index = {S: k for k, S in enumerate(K.subsets[i + 1])}
     blocks = {}
-    for k, S in enumerate(s.subsets[i]):
-        for l in range(len(s.elements)):
+    for k, S in enumerate(K.subsets[i]):
+        for l in range(K.c):
             if l in S:
                 continue
-            power = ring.ppow(s.elements[l], s.levels[l])
+            power = ring.ppow(K.elements[l], s.levels[l])
             if not power:
                 continue  # a nilpotent element raised past its order
             T = tuple(sorted(S + (l,)))
             sign = -1 if sum(1 for x in S if x < l) % 2 else 1
             blocks[tgt_index[T], k] = (
-                sign, s.module.mult_matrix(power, s.subset_degree(S)))
+                sign, K.module.mult_matrix(power, s.subset_degree(S)))
     return Matrix.from_blocks(ring.field, s.sizes(i + 1), s.sizes(i), blocks)
 
 
 def _reference_transition(lo, hi, i):
     """The transition with every block built on its own: the product over S
     of the gap powers, taken in increasing element index."""
-    ring = lo.module.ring
+    K = lo.K
+    ring = K.ring
     blocks = {}
-    for k, S in enumerate(lo.subsets[i]):
+    for k, S in enumerate(K.subsets[i]):
         gap = ring.pconst(1)
         for j in S:
             delta = hi.levels[j] - lo.levels[j]
             if delta:
-                gap = ring.pmul(gap, ring.ppow(lo.elements[j], delta))
+                gap = ring.pmul(gap, ring.ppow(K.elements[j], delta))
         if gap:
-            blocks[k, k] = (1, lo.module.mult_matrix(gap, lo.subset_degree(S)))
+            blocks[k, k] = (1, K.module.mult_matrix(gap, lo.subset_degree(S)))
     return Matrix.from_blocks(ring.field, hi.sizes(i), lo.sizes(i), blocks)
 
 
 def _assert_shared_blocks_match_reference(K, data):
     # several slices at nearby levels and codegrees take their blocks from
-    # one cache, in a drawn order, so later slices reuse earlier blocks
+    # the complex's one cache, in a drawn order, so later slices reuse
+    # earlier blocks
     levels = st.lists(st.integers(1, 3), min_size=K.c, max_size=K.c)
     specs = data.draw(st.lists(st.tuples(levels, st.integers(-2, 2),
                                          levels), min_size=2, max_size=4))
-    shared = _PowerBlocks(K.module, K.elements)
     for low, n, gaps in specs:
         high = [s + g for s, g in zip(low, gaps)]
-        lo, hi = (_KoszulCochainSlice(K.module, K.elements, K.codegrees, s, n, shared)
-                  for s in (low, high))
+        lo, hi = (K.slice(s, n) for s in (low, high))
         for s in (lo, hi):
             for i in range(K.c):
                 assert s.differential(i) == _reference_differential(s, i)
