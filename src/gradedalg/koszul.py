@@ -9,7 +9,11 @@ the codegree-n slice takes summand S from M in codegree
 n + sum_{j in S} s_j |a_j|.  The differential adds one index l to S and
 multiplies by a_l^(s_l) with sign (-1)^(number of indices of S below l).
 Raising the levels multiplies summand S by the gap powers; the Cech
-complex of localcoh is the colimit of these transitions.
+complex of localcoh is the colimit of these transitions.  Every map is
+kept as its columns in the field's vector format, the images of the
+source basis that multiplication computes (GradedModule.mult_columns),
+shifted to the offsets of their target summands; ranks come from
+eliminating those columns, so no map is ever turned into rows.
 
 The Koszul chain complex has K_i = sum_{|S| = i} M(-sum_{j in S} |a_j|)
 and a differential that removes one index.  It is self-dual: chain degree
@@ -22,9 +26,10 @@ reads Koszul homology off that slice.
 
 from __future__ import annotations
 
-from itertools import combinations
+from functools import reduce
+from itertools import accumulate, combinations
 
-from .linalg import Matrix, unit_vector
+from .linalg import RowSpace
 from .modules import GradedModule
 
 
@@ -47,29 +52,29 @@ class KoszulComplex:
                 raise KoszulError("Koszul elements must be homogeneous of codegree >= 1")
             self.codegrees.append(degs.pop())
         self.c = len(self.elements)
-        self.subsets = [list(combinations(range(self.c), i)) for i in range(self.c + 1)]
+        # degree c + 1 has no subsets, so the differential out of degree c is zero
+        self.subsets = [list(combinations(range(self.c), i)) for i in range(self.c + 2)]
         self._powers = {}   # e -> a^e
-        self._blocks = {}   # (e, m) -> Matrix or None
+        self._blocks = {}   # (e, m) -> columns or None
         self._ones = {}     # chain codegree n -> its level-1 cochain slice
 
     def block(self, e, m):
-        """Multiplication by a^e = prod_j a_j^(e_j) from module codegree m.
+        """The columns of multiplication by a^e = prod_j a_j^(e_j) from
+        module codegree m, e an exponent vector on the elements.
 
-        e is an exponent vector on the elements.  Every differential and
-        transition block of every slice is one of these, built once.  The
-        factors of a^e are multiplied in increasing j, which fixes the
-        signs of odd elements.  A zero power (a nilpotent raised past its
-        order) gives None, a missing block.
+        Every differential and transition block of every slice is one of
+        these, built once.  a^e starts from its first nonzero factor and
+        multiplies the others in increasing j, which fixes the signs of odd
+        elements.  A zero power (a nilpotent raised past its order) gives
+        None, a missing block.
         """
         if (e, m) not in self._blocks:
             if e not in self._powers:
-                p = self.ring.pconst(1)
-                for a, k in zip(self.elements, e):
-                    if k:
-                        p = self.ring.pmul(p, self.ring.ppow(a, k))
-                self._powers[e] = p
+                factors = [self.ring.ppow(a, k) for a, k in zip(self.elements, e) if k]
+                self._powers[e] = (reduce(self.ring.pmul, factors) if factors
+                                   else self.ring.pconst(1))
             p = self._powers[e]
-            self._blocks[e, m] = self.module.mult_matrix(p, m) if p else None
+            self._blocks[e, m] = self.module.mult_columns(p, m) if p else None
         return self._blocks[e, m]
 
     def drop_below(self, m):
@@ -87,75 +92,93 @@ class KoszulComplex:
         if n not in self._ones:
             self._ones[n] = self.slice((1,) * self.c, n - sum(self.codegrees))
         s, j = self._ones[n], self.c - i
-        rank_in = s.differential(j - 1).rank() if j > 0 else 0
-        rank_out = s.differential(j).rank() if j < self.c else 0
-        return s.term_dim(j) - rank_in - rank_out
+        rank_in = s.rank(j - 1) if j > 0 else 0
+        return s.term_dim(j) - rank_in - s.rank(j)
 
 
 class _CochainSlice:
     """One codegree of the cochain complex at one level; blocks come from
-    the KoszulComplex K that made it."""
+    the KoszulComplex K that made it.  A map is the list of its columns in
+    the field's vector format, one per basis vector of its source."""
 
     def __init__(self, K, levels, n):
         self.K = K
         self.levels = tuple(levels)
         self.n = n
-        self._diffs = {}
+        self._sizes = {}     # cochain degree -> summand sizes
+        self._offsets = {}   # cochain degree -> {subset: its first coordinate}
+        self._diffs = {}     # cochain degree -> columns of the differential out of it
+        self._ranks = {}     # cochain degree -> rank of that differential
 
     def subset_degree(self, S):
         return self.n + sum(self.levels[j] * self.K.codegrees[j] for j in S)
 
     def sizes(self, i):
         """Dimension of each summand of cochain degree i."""
-        return [self.K.module.dim(self.subset_degree(S)) for S in self.K.subsets[i]]
+        if i not in self._sizes:
+            self._sizes[i] = [self.K.module.dim(self.subset_degree(S))
+                              for S in self.K.subsets[i]]
+        return self._sizes[i]
+
+    def offsets(self, i):
+        """The first coordinate of each summand of cochain degree i, by subset."""
+        if i not in self._offsets:
+            self._offsets[i] = dict(zip(self.K.subsets[i], accumulate(self.sizes(i), initial=0)))
+        return self._offsets[i]
 
     def term_dim(self, i):
         return sum(self.sizes(i))
 
-    def differential(self, i) -> Matrix:
-        """The map from cochain degree i to i + 1."""
-        if i in self._diffs:
-            return self._diffs[i]
-        K = self.K
-        tgt_index = {S: k for k, S in enumerate(K.subsets[i + 1])}
-        blocks = {}
-        for k, S in enumerate(K.subsets[i]):
-            for l in range(K.c):
-                if l in S:
-                    continue
-                e = tuple(self.levels[l] if j == l else 0 for j in range(K.c))
-                block = K.block(e, self.subset_degree(S))
-                if block is None:
-                    continue
-                T = tuple(sorted(S + (l,)))
-                sign = -1 if sum(1 for x in S if x < l) % 2 else 1
-                blocks[tgt_index[T], k] = (sign, block)
-        m = Matrix.from_blocks(K.ring.field, self.sizes(i + 1), self.sizes(i), blocks)
-        self._diffs[i] = m
-        return m
+    def differential(self, i):
+        """The columns of the map from cochain degree i to i + 1: column k
+        of summand S is the sum over l not in S of column k of a_l^(s_l)
+        shifted to summand S + {l}, with sign (-1)^(indices of S below l)."""
+        if i not in self._diffs:
+            K, F = self.K, self.K.ring.field
+            targets = self.offsets(i + 1)
+            cols = []
+            for S, size in zip(K.subsets[i], self.sizes(i)):
+                part = [0] * size if F.packed else [{} for _ in range(size)]
+                for l in range(K.c):
+                    e = tuple(self.levels[l] if j == l else 0 for j in range(K.c))
+                    block = None if l in S else K.block(e, self.subset_degree(S))
+                    if block is None:
+                        continue
+                    off = targets[tuple(sorted(S + (l,)))]
+                    odd = sum(x < l for x in S) % 2
+                    for k, col in enumerate(block):
+                        if F.packed:
+                            part[k] |= col << off
+                        else:
+                            part[k].update((off + r, F.neg(x) if odd else x)
+                                           for r, x in col.items())
+                cols.extend(part)
+            self._diffs[i] = cols
+        return self._diffs[i]
 
-    def cocycles(self, i):
-        """A basis of the kernel of the differential out of cochain degree i,
-        as vectors in the field's format; at the top degree, where every
-        cochain is a cocycle, the unit vectors."""
-        dim_i = self.term_dim(i)
-        if dim_i == 0:
-            return []
-        if i < self.K.c:
-            return self.differential(i).kernel_basis()
-        return [unit_vector(self.K.ring.field, c) for c in range(dim_i)]
+    def rank(self, i):
+        """Rank of the differential out of cochain degree i."""
+        if i not in self._ranks:
+            span = RowSpace(self.K.ring.field, self.term_dim(i + 1))
+            self._ranks[i] = sum(span.insert(col) for col in self.differential(i))
+        return self._ranks[i]
 
-    def transition_to(self, other, i) -> Matrix:
-        """Chain map slice induced by raising levels (multiply by the gaps)."""
-        K = self.K
-        blocks = {}
-        for k, S in enumerate(K.subsets[i]):
-            e = tuple(other.levels[j] - self.levels[j] if j in S else 0
-                      for j in range(K.c))
+    def transition_to(self, other, i):
+        """The columns of the chain map from cochain degree i of this slice
+        to that of other, at levels as high: summand S is multiplied by the
+        gap powers of its elements and shifted to its offset in other."""
+        K, F = self.K, self.K.ring.field
+        cols = []
+        for S, size in zip(K.subsets[i], self.sizes(i)):
+            e = tuple(other.levels[j] - self.levels[j] if j in S else 0 for j in range(K.c))
             block = K.block(e, self.subset_degree(S))
-            if block is not None:
-                blocks[k, k] = (1, block)
-        return Matrix.from_blocks(K.ring.field, other.sizes(i), self.sizes(i), blocks)
+            off = other.offsets(i)[S]
+            if block is None:
+                cols.extend([0] * size if F.packed else [{}] * size)  # read only
+            else:
+                cols.extend(col << off if F.packed else {off + r: x for r, x in col.items()}
+                            for col in block)
+        return cols
 
 
 def koszul_homology(ring, elements, degrees, module=None):

@@ -1,8 +1,8 @@
 """Exact linear algebra over any of the workbench fields.
 
 RowSpace is the one elimination kernel: ring and module components,
-resolution kernels, Cech ranks and Matrix's rref, rank, kernel_basis,
-image_basis and solve all reduce through it.
+resolution kernels, Koszul and Cech ranks (by columns) and Matrix's
+rref, rank, kernel_basis, image_basis and solve all reduce through it.
 
 The field chooses one vector format for the whole library: ring and
 module coordinates, Matrix and RowSpace rows, kernel vectors and
@@ -14,7 +14,7 @@ the width of the matrix.  `field.packed` says which, and `unit_vector`
 and `bits` build and read vectors of either kind.
 
 Matrix holds its rows in that format, its only storage, so its products,
-transposes, block assembly and elimination touch only nonzero entries
+transposes, direct sums and elimination touch only nonzero entries
 (over GF(2), whole rows at a time).  Dense lists exist only at its
 public boundary.  Matrices are immutable after construction.
 """
@@ -110,34 +110,6 @@ class Matrix:
                     srows[i][j] = x
         return cls._of(field, srows, len(cols))
 
-    @classmethod
-    def from_blocks(cls, field, row_sizes, col_sizes, blocks):
-        """Block matrix with the given block row and block column sizes.
-
-        blocks maps (block row, block column) to (sign, Matrix), sign being
-        1 or -1; missing blocks are zero.  Blocks never overlap, so every
-        entry is written once: over GF(2), where the sign is moot, a block
-        row is ORed in shifted to its block column.
-        """
-        row_off = [sum(row_sizes[:i]) for i in range(len(row_sizes))]
-        col_off = [sum(col_sizes[:j]) for j in range(len(col_sizes))]
-        if field.packed:
-            srows = [0] * sum(row_sizes)
-            for (i, j), (_, m) in blocks.items():
-                r0, c0 = row_off[i], col_off[j]
-                for r, src in enumerate(m.srows):
-                    srows[r0 + r] |= src << c0
-        else:
-            neg = field.neg
-            srows = [{} for _ in range(sum(row_sizes))]
-            for (i, j), (sign, m) in blocks.items():
-                r0, c0 = row_off[i], col_off[j]
-                for r, src in enumerate(m.srows):
-                    dst = srows[r0 + r]
-                    for c, x in src.items():
-                        dst[c0 + c] = x if sign == 1 else neg(x)
-        return cls._of(field, srows, sum(col_sizes))
-
     # -- basics -------------------------------------------------------
 
     @property
@@ -160,6 +132,15 @@ class Matrix:
             for j, x in row.items():
                 cols[j][i] = x
         return Matrix._of(self.field, cols, self.nrows)
+
+    def direct_sum(self, other):
+        """The block diagonal matrix with self above and left of other."""
+        k = self.ncols
+        if self.field.packed:
+            low = [r << k for r in other.srows]
+        else:
+            low = [{k + c: x for c, x in r.items()} for r in other.srows]
+        return Matrix._of(self.field, self.srows + low, k + other.ncols)
 
     def mul(self, other):
         if not isinstance(other, Matrix) or other.field != self.field:
@@ -440,6 +421,10 @@ class RowSpace:
             self._rows[p] = v
         self._nonpivots = self._position = None
         return True
+
+    def pivots_below(self, c):
+        """How many pivot columns are below column c."""
+        return sum(p < c for p in self._rows)
 
     def contains(self, vec):
         return not self._reduced_any(vec)

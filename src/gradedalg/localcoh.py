@@ -8,7 +8,12 @@ whose slices and multiplication blocks come from koszul.KoszulComplex.
 Each degreewise dimension is reported with a "certified" flag: the rank
 of the composite transition map between levels was equal over `window`
 consecutive level steps.  That is a stopping rule, not a proof that the
-colimit has stabilized.
+colimit has stabilized.  Each rank is one elimination of columns: with
+d the low differential out of degree i (r rows), T the transition and B
+the high coboundaries, W is spanned by (0, b) for b in B, put in first,
+and (d e_j, T e_j) for each basis vector e_j.  Pivots are least columns,
+so those at or past r span W's part with d-part zero, T(ker d) + B, and
+rank H^i(T) = dim W - #pivots below r - #coboundary pivots (= dim B).
 
 duality_table computes the same dimensions through graded duality over
 a polynomial subring: H^i in codegree n has the dimension of
@@ -20,7 +25,7 @@ minimal free resolution and its dual complex.
 from __future__ import annotations
 
 from .koszul import KoszulComplex, KoszulError
-from .linalg import RowSpace, combine
+from .linalg import RowSpace
 from .modules import FreeModule, PolyMatrix
 from .resolution import minimal_resolution
 
@@ -57,21 +62,20 @@ class CohomologyTable:
 
 
 def _induced_rank(low, high, i):
-    """Rank of the map on degree-i cohomology induced by the transition."""
-    kb_low = low.cocycles(i)
-    if not kb_low:
+    """Rank of the map on degree-i cohomology induced by the transition T:
+    dim W - #pivots below r - #coboundary pivots (see the module docstring)."""
+    if not low.term_dim(i):
         return 0
-    images = low.transition_to(high, i).transpose().srows  # column by column
     F = low.K.ring.field
-    dim_high = high.term_dim(i)
-    span = RowSpace(F, dim_high)
+    r = low.term_dim(i + 1)
+    span = RowSpace(F, r + high.term_dim(i))
     if i > 0:
-        for col in high.differential(i - 1).transpose().srows:
-            span.insert(col)
+        for b in high.differential(i - 1):
+            span.insert(b << r if F.packed else {r + k: x for k, x in b.items()})
     base = span.dim
-    for v in kb_low:
-        span.insert(combine(F, images, v))
-    return span.dim - base
+    for d, t in zip(low.differential(i), low.transition_to(high, i)):
+        span.insert(d | t << r if F.packed else {**d, **{r + k: x for k, x in t.items()}})
+    return span.dim - span.pivots_below(r) - base
 
 
 def cech_table(module, elements, degrees=None, stab_bound=16, buffer=8,
@@ -85,10 +89,10 @@ def cech_table(module, elements, degrees=None, stab_bound=16, buffer=8,
     stab_bound are reported with their last rank and certified=False.
 
     The slices come from one KoszulComplex per call, whose block cache
-    builds each power of the elements and each multiplication block once
-    for all slices, and goes when the call returns.  Slices are dropped
-    once their codegree n is done, and blocks once their source codegree
-    is below every n still to do.
+    builds each power of the elements and the columns of each
+    multiplication block once for all slices, and goes when the call
+    returns.  Slices are dropped once their codegree n is done, and
+    blocks once their source codegree is below every n still to do.
     """
     try:
         K = KoszulComplex(module.ring, elements, module)
@@ -100,29 +104,18 @@ def cech_table(module, elements, degrees=None, stab_bound=16, buffer=8,
     table = CohomologyTable(degrees, K.c, "cech")
 
     for k, n in enumerate(degrees):
-        slices = {}  # levels -> slice at this n
-
-        def get_slice(levels):
-            if levels not in slices:
-                slices[levels] = K.slice(levels, n)
-            return slices[levels]
-
         base = [max(1, -((n - buffer) // d)) for d in K.codegrees]
+        # step t maps slice t to slice t + 2; a slice builds nothing until asked
+        slices = [K.slice(tuple(b + t for b in base), n) for t in range(stab_bound + 2)]
         for i in range(K.c + 1):
             ranks = []
-            value = None
-            certified = False
-            for t in range(stab_bound):
-                lo = get_slice(tuple(b + t for b in base))
-                hi = get_slice(tuple(b + t + 2 for b in base))
+            for lo, hi in zip(slices, slices[2:]):
                 ranks.append(_induced_rank(lo, hi, i))
                 if len(ranks) >= window and len(set(ranks[-window:])) == 1:
-                    value = ranks[-1]
-                    certified = True
+                    table.set(i, n, ranks[-1], True)
                     break
-            if value is None:
-                value = ranks[-1]
-            table.set(i, n, value, certified)
+            else:
+                table.set(i, n, ranks[-1], False)
         # a slice at codegree n uses blocks out of codegrees >= n only
         if k + 1 < len(degrees):
             K.drop_below(min(degrees[k + 1:]))

@@ -264,12 +264,7 @@ class GroupModule:
         return basis
 
     def direct_sum(self, other):
-        F = self.field
-        mats = []
-        for g in range(self.algebra.n):
-            a, b = self.mats[g], other.mats[g]
-            mats.append(Matrix.from_blocks(F, [a.nrows, b.nrows], [a.ncols, b.ncols],
-                                           {(0, 0): (1, a), (1, 1): (1, b)}))
+        mats = [a.direct_sum(b) for a, b in zip(self.mats, other.mats)]
         return GroupModule(self.algebra, mats, check=False)
 
 

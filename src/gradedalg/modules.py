@@ -266,14 +266,18 @@ class GradedModule:
         """The largest codegree of a generator or a relation column."""
         return max([*self.gen_shifts, *(d for d, _ in self.rel_columns)], default=0)
 
+    def mult_columns(self, poly, n):
+        """Multiplication by a homogeneous polynomial, M^n -> M^(n+|poly|),
+        as its columns: the image of each basis vector of M^n in the
+        quotient coordinates of M^(n+|poly|), in the field's format."""
+        tgt = self.component(n + self.ring.poly_codegree(poly))
+        cols = self.free.images(self.component(n).basis, self.free.scalar_columns(poly), tgt.n)
+        return [tgt.reduce(v) for v in cols]
+
     def mult_matrix(self, poly, n) -> Matrix:
         """Multiplication by a homogeneous polynomial: M^n -> M^(n+|poly|)."""
-        ring = self.ring
-        d = ring.poly_codegree(poly)
-        src = self.component(n)
-        tgt = self.component(n + d)
-        cols = self.free.images(src.basis, self.free.scalar_columns(poly), n + d)
-        return Matrix.from_columns(ring.field, [tgt.reduce(v) for v in cols], tgt.dim)
+        return Matrix.from_columns(self.ring.field, self.mult_columns(poly, n),
+                                   self.dim(n + self.ring.poly_codegree(poly)))
 
 
 class ModuleComponent:

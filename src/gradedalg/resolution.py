@@ -113,7 +113,7 @@ def _minimal_generators_of_module(module: GradedModule, codegree_max):
             dx = ring.codegrees[i]
             if n - dx < lo:
                 continue
-            for col in module.mult_matrix(ring.gen_poly(i), n - dx).transpose().srows:
+            for col in module.mult_columns(ring.gen_poly(i), n - dx):
                 span.insert(col)
         for k in range(comp.dim):
             e = unit_vector(ring.field, k)

@@ -291,20 +291,15 @@ def _dense_mul(F, a_rows, b_rows, ncols):
             for row in a_rows]
 
 
-def _dense_blocks(F, row_sizes, col_sizes, blocks):
-    rows = [[F.zero()] * sum(col_sizes) for _ in range(sum(row_sizes))]
-    for (i, j), (sign, m) in blocks.items():
-        r0, c0 = sum(row_sizes[:i]), sum(col_sizes[:j])
-        for r, row in enumerate(m.rows):
-            for c, x in enumerate(row):
-                rows[r0 + r][c0 + c] = x if sign == 1 else F.neg(x)
-    return rows
+def _dense_direct_sum(F, a_rows, k, b_rows, m):
+    """The block diagonal matrix of a (k columns) and b (m columns)."""
+    z = F.zero()
+    return [r + [z] * m for r in a_rows] + [[z] * k + r for r in b_rows]
 
 
 @st.composite
 def _matrix_cases(draw):
-    """A field, two compatible matrices a (n x k) and b (k x m), a vector,
-    and a block layout with random signs and missing blocks."""
+    """A field, two compatible matrices a (n x k) and b (k x m), and a vector."""
     field = draw(st.sampled_from([F2, F5, F4, QQ]))
     values = [field.zero()] * 3 + [field.from_int(k) for k in (1, -1, 2)]
     if field is F4:
@@ -317,20 +312,13 @@ def _matrix_cases(draw):
     n, k, m = (draw(st.integers(0, 5)) for _ in range(3))
     a, b = dense(n, k), dense(k, m)
     vec = [draw(elem) for _ in range(k)]
-    row_sizes = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
-    col_sizes = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
-    blocks = {}
-    for i, r in enumerate(row_sizes):
-        for j, c in enumerate(col_sizes):
-            if draw(st.booleans()):
-                blocks[i, j] = (draw(st.sampled_from([1, -1])), Matrix(field, dense(r, c), c))
-    return field, a, b, k, m, vec, row_sizes, col_sizes, blocks
+    return field, a, b, k, m, vec
 
 
 @settings(max_examples=200, deadline=None)
 @given(_matrix_cases())
 def test_matrix_operations_match_dense_loops(case):
-    F, a_rows, b_rows, k, m, vec, row_sizes, col_sizes, blocks = case
+    F, a_rows, b_rows, k, m, vec = case
     z = F.zero()
     a, b = Matrix(F, a_rows, k), Matrix(F, b_rows, m)
     assert a.rows == a_rows and (a.nrows, a.ncols) == (len(a_rows), k)
@@ -351,9 +339,9 @@ def test_matrix_operations_match_dense_loops(case):
     assert a.is_zero() == all(x == z for r in a_rows for x in r)
     assert (a == Matrix.zero(F, len(a_rows), k)) == a.is_zero()
     assert a == Matrix(F, a_rows, k)
-    blocked = Matrix.from_blocks(F, row_sizes, col_sizes, blocks)
-    assert blocked.rows == _dense_blocks(F, row_sizes, col_sizes, blocks)
-    assert (blocked.nrows, blocked.ncols) == (sum(row_sizes), sum(col_sizes))
+    summed = a.direct_sum(b)
+    assert summed.rows == _dense_direct_sum(F, a_rows, k, b_rows, m)
+    assert (summed.nrows, summed.ncols) == (len(a_rows) + k, k + m)
 
 
 def test_matrix_equality_sees_shape_and_entries():
@@ -402,12 +390,12 @@ def _forms(F, vec):
 
 @st.composite
 def _matrix_references(draw):
-    """A field, matrices a (n x k), b (k x m) and c (p x n), vectors, and a
-    block layout with random signs and missing blocks, all as dense lists.
+    """A field, matrices a (n x k), b (k x m) and c (p x n), and vectors,
+    all as dense lists.
 
-    A fifth of the cases are GF(2) ones that draw k from 31 to 200 and the
-    block widths from 31 to 80, so packed rows, columns, kernel vectors and
-    shifted blocks span several int digits.
+    A fifth of the cases are GF(2) ones that draw k from 31 to 200, so
+    packed rows, columns, kernel vectors and the rows of c shifted past a
+    in their direct sum span several int digits.
     """
     kind = draw(st.sampled_from(["wide GF(2)", F2, F5, F4, QQ]))
     wide = kind == "wide GF(2)"
@@ -434,22 +422,13 @@ def _matrix_references(draw):
     # a right side a * x is always solvable
     x = vector(k)
     vectors["image"] = _dense_apply(field, a, x)
-    width = st.integers(31, 80) if wide else st.integers(0, 3)
-    row_sizes = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
-    col_sizes = draw(st.lists(width, min_size=1, max_size=3))
-    blocks = {}
-    for i, r in enumerate(row_sizes):
-        for j, w in enumerate(col_sizes):
-            if draw(st.booleans()):
-                blocks[i, j] = (draw(st.sampled_from([1, -1])), Matrix(field, dense(r, w), w))
-    return field, (a, n, k), (b, k, m), (c, p, n), vectors, row_sizes, col_sizes, blocks
+    return field, (a, n, k), (b, k, m), (c, p, n), vectors
 
 
 @settings(max_examples=200, deadline=None)
 @given(_matrix_references())
 def test_matrix_matches_dense_references(case):
-    F, (a_rows, n, k), (b_rows, _, m), (c_rows, p, _), vectors, row_sizes, col_sizes, \
-        blocks = case
+    F, (a_rows, n, k), (b_rows, _, m), (c_rows, p, _), vectors = case
     a, b, c = Matrix(F, a_rows, k), Matrix(F, b_rows, m), Matrix(F, c_rows, n)
     assert a.rows == a_rows and (a.nrows, a.ncols) == (n, k)
     # products: a * b sums narrow rows of b, c * a sums wide rows of a
@@ -483,10 +462,9 @@ def test_matrix_matches_dense_references(case):
         for given_as in _forms(F, rhs):
             assert matrix.solve(given_as) == expected
     assert a.solve(vectors["image"]) is not None
-    # blocks: shifted into place with their signs
-    blocked = Matrix.from_blocks(F, row_sizes, col_sizes, blocks)
-    expected = _dense_blocks(F, row_sizes, col_sizes, blocks)
-    assert blocked.rows == expected
-    assert (blocked.nrows, blocked.ncols) == (sum(row_sizes), sum(col_sizes))
-    assert blocked.transpose().rows == [[r[j] for r in expected] for j in range(sum(col_sizes))]
+    # direct sums: the rows of c shifted past the k columns of a
+    summed = a.direct_sum(c)
+    expected = _dense_direct_sum(F, a_rows, k, c_rows, n)
+    assert summed.rows == expected and (summed.nrows, summed.ncols) == (n + p, k + n)
+    assert summed.transpose().rows == [[r[j] for r in expected] for j in range(k + n)]
 
