@@ -39,43 +39,34 @@ class HypersurfaceData:
 
     def transfer_module(self, module):
         """Reinterpret an S-module presentation over R = S/(f)."""
+        slots = range(len(module.gen_shifts))
         return GradedModule(self.quotient, module.gen_shifts,
-                            [[dict(p) for p in col] for _, col in module.rel_columns])
+                            [[col.get(j, {}) for j in slots] for _, col in module.rel_columns])
 
 
 def _check_kills_module(h, module):
     for j, shift in enumerate(module.gen_shifts):
-        if module.dim(shift) == 0:
-            continue
-        col = module.mult_matrix(h.f, shift)
-        # column of f * e_j inside the target component
-        unit = module.free.scalar_columns(module.ring.pconst(1))[j]
-        gen_coords = module.component(shift).reduce(module.free.coords_of(unit, shift))
-        z = module.ring.field.zero()
-        if any(x != z for x in col.apply(gen_coords)):
+        n = shift + h.d
+        if module.component(n).reduce(module.free.coords_of({j: h.f}, n)):
             raise HypersurfaceError("f does not annihilate the module")
 
 
 def _solve_chain_map(target_diff, source_free, target_free, rhs, degree_raise):
     """Solve target_diff . X = rhs degreewise, one column per source generator.
 
-    rhs holds the entries of a matrix whose column j is an element of
-    target_diff's target free module at codegree source_free.shifts[j] +
-    degree_raise.  Returns a PolyMatrix from the shifted source to
-    target_free.
+    rhs[j] is an element {slot: poly} of target_diff's target free module
+    at codegree source_free.shifts[j] + degree_raise.  Returns a
+    PolyMatrix from the shifted source to target_free.
     """
-    ring = source_free.ring
-    shifted = FreeModule(ring, [s + degree_raise for s in source_free.shifts])
+    shifted = FreeModule(source_free.ring, [s + degree_raise for s in source_free.shifts])
     cols = []
-    for j, s in enumerate(source_free.shifts):
+    for col, s in zip(rhs, source_free.shifts):
         n = s + degree_raise
-        b = target_diff.target.coords_of([row[j] for row in rhs], n)
-        sol = target_diff.matrix_at(n).solve(b)
+        sol = target_diff.matrix_at(n).solve(target_diff.target.coords_of(col, n))
         if sol is None:
             raise HypersurfaceError("null homotopy system is inconsistent")
         cols.append(target_free.element_of(sol, n))
-    entries = [[cols[c][r] for c in range(len(cols))] for r in range(target_free.rank)]
-    return PolyMatrix(target_free, shifted, entries)
+    return PolyMatrix(target_free, shifted, cols)
 
 
 class HomotopySystem:
@@ -110,24 +101,22 @@ class HomotopySystem:
         src = self.res.frees[i]
         d_tgt = self._diff(i + 2 * k - 1)
         # d . s_k^{(i)} = f*id (k=1) - s_k^{(i-1)} d - sum_{a+b=k, a,b>=1} s_a s_b,
-        # a map F_i -> F_{i+2k-2}; f*id is symmetric, so its columns are its rows
-        if k == 1:
-            rhs = src.scalar_columns(self.h.f)
-        else:
-            rhs = [[{} for _ in range(src.rank)] for _ in range(d_tgt.target.rank)]
+        # a map F_i -> F_{i+2k-2}, by columns
+        rhs = src.scalar_columns(self.h.f) if k == 1 else [{} for _ in range(src.rank)]
         products = []
         if i > 0:
-            products.append(partial[i - 1].entries_times(self._diff(i)))
+            products.append(partial[i - 1].columns_times(self._diff(i)))
         for a in range(1, k):
             b = k - a
             # s_a applied after s_b: F_i -> F_{i+2b-1} -> F_{i+2k-2}
             sb = self.s[b].get(i)
             sa = self.s[a].get(i + 2 * b - 1)
             if sb is not None and sa is not None:
-                products.append(sa.entries_times(sb))
+                products.append(sa.columns_times(sb))
         for prod in products:
-            rhs = [[ring.psub(x, y) for x, y in zip(row, prod_row)]
-                   for row, prod_row in zip(rhs, prod)]
+            for col, prod_col in zip(rhs, prod):
+                for r, p in prod_col.items():
+                    col[r] = ring.psub(col.get(r, {}), p)
         return _solve_chain_map(d_tgt, src, self.res.frees[i + 2 * k - 1], rhs, k * self.h.d)
 
     def homotopy(self, k, i):
@@ -182,7 +171,7 @@ def splice_periodic_resolution(h: HypersurfaceData, module, h_max=12,
         src_blocks, src_off = layouts[j]
         tgt_blocks, tgt_off = layouts[j - 1]
         tgt_pos = {blk: off for blk, off in zip(tgt_blocks, tgt_off)}
-        entries = [[dict() for _ in range(terms[j].rank)] for _ in range(terms[j - 1].rank)]
+        columns = [{} for _ in range(terms[j].rank)]
         for (i, m), off in zip(src_blocks, src_off):
             for k in range(0, i + 1):
                 if k == 0 and m == 0:
@@ -194,12 +183,9 @@ def splice_periodic_resolution(h: HypersurfaceData, module, h_max=12,
                 if tgt_block not in tgt_pos:
                     continue
                 t_off = tgt_pos[tgt_block]
-                for r in range(s_k.target.rank):
-                    for c in range(s_k.source.rank):
-                        e = s_k.entries[r][c]
-                        if e:
-                            entries[t_off + r][off + c] = dict(e)
-        diffs.append(PolyMatrix(terms[j - 1], terms[j], entries))
+                for c, col in enumerate(s_k.columns):
+                    columns[off + c].update((t_off + r, p) for r, p in col.items())
+        diffs.append(PolyMatrix(terms[j - 1], terms[j], columns))
     betti = BettiTable(h_max, codegree_max)
     for j, term in enumerate(terms):
         for s in term.shifts:
@@ -240,7 +226,7 @@ class MatrixFactorization:
     def verify(self):
         """Both products equal f * identity, as exact polynomial matrices."""
         f = self.h.f
-        return all(X.entries_times(Y) == X.target.scalar_columns(f)
+        return all(X.columns_times(Y) == X.target.scalar_columns(f)
                    for X, Y in ((self.A, self.B), (self.B, self.A)))
 
 

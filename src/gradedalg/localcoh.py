@@ -129,9 +129,11 @@ def _dual_complex(resolution):
     dual_diffs = []
     for idx, d in enumerate(resolution.diffs):
         # Hom(F_idx, P) -> Hom(F_{idx+1}, P), matrix is the transpose
-        entries = [[d.entries[j][i] for j in range(d.target.rank)]
-                   for i in range(d.source.rank)]
-        dual_diffs.append(PolyMatrix(duals[idx + 1], duals[idx], entries))
+        columns = [{} for _ in range(d.target.rank)]
+        for j, col in enumerate(d.columns):
+            for i, p in col.items():
+                columns[i][j] = p
+        dual_diffs.append(PolyMatrix(duals[idx + 1], duals[idx], columns))
     return duals, dual_diffs
 
 

@@ -9,6 +9,9 @@ their offsets; over every other field sparse {position: value} dicts.
 A free-module codegree-n basis is the list of pairs (slot, monomial)
 with the monomial running over the quotient basis of the complementary
 codegree.
+
+A polynomial vector is a {slot: nonzero poly} dict, and a map of free
+modules the list of its columns, so a map costs its nonzero entries.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ from .rings import GradedRing, PresentationError
 
 
 class FreeModule:
-    """Graded free module over a ring: one generator per shift (codegree)."""
+    """Graded free module over a ring: one generator per shift (codegree).
+    Its elements are polynomial vectors {slot: poly}."""
 
     def __init__(self, ring: GradedRing, shifts):
         self.ring = ring
@@ -54,25 +58,24 @@ class FreeModule:
         return len(self.basis(n))
 
     def coords_of(self, element, n):
-        """Coordinates at codegree n of a polynomial vector (one poly per
-        slot)."""
+        """Coordinates at codegree n of a polynomial vector {slot: poly}."""
         packed = self.ring.field.packed
+        offsets = self.offsets(n)
         out = 0 if packed else {}
-        for j, (s, off) in enumerate(zip(self.shifts, self.offsets(n))):
-            if element[j]:
-                coords = self.ring.component(n - s).reduce_poly(element[j])
-                if packed:
-                    out |= coords << off
-                else:
-                    for k, x in coords.items():
-                        out[off + k] = x
+        for j, p in element.items():
+            coords = self.ring.component(n - self.shifts[j]).reduce_poly(p)
+            if packed:
+                out |= coords << offsets[j]
+            else:
+                for k, x in coords.items():
+                    out[offsets[j] + k] = x
         return out
 
     def images(self, pairs, columns, n):
         """Coordinates at codegree n of mono * columns[j] for each (j, mono),
         mono a basis monomial.
 
-        columns[j] is a homogeneous polynomial vector in the slots of this
+        columns[j] is a homogeneous polynomial vector {slot: poly} of this
         module, so the monomials paired with j share one codegree.  Each
         (polynomial, codegree) table is made once per call and computes
         only the products looked up; a generator's comes from the ring.
@@ -87,11 +90,10 @@ class FreeModule:
             if j not in parts:
                 parts[j] = []
                 a = ring.mono_codegree(mono)
-                for i, p in enumerate(columns[j]):
-                    if p:
-                        if (id(p), a) not in tables:
-                            tables[id(p), a] = ring.times_table(p, a)
-                        parts[j].append((offsets[i], tables[id(p), a]))
+                for i, p in columns[j].items():
+                    if (id(p), a) not in tables:
+                        tables[id(p), a] = ring.times_table(p, a)
+                    parts[j].append((offsets[i], tables[id(p), a]))
             if packed:
                 v = 0
                 for off, table in parts[j]:
@@ -105,22 +107,21 @@ class FreeModule:
         return out
 
     def scalar_columns(self, poly):
-        """The columns of poly times the identity, as polynomial vectors."""
-        return [[poly if i == j else {} for i in range(self.rank)]
-                for j in range(self.rank)]
+        """The columns of poly times the identity: {j: poly} for each j."""
+        return [{j: poly} for j in range(self.rank)]
 
     def element_of(self, coords, n):
         """Inverse of coords_of: coordinates (a list, a {position: value}
-        dict or, over GF(2), an int) -> polynomial vector."""
+        dict or, over GF(2), an int) -> polynomial vector {slot: poly}."""
         z = self.ring.field.zero()
         basis = self.basis(n)
-        element = [{} for _ in self.shifts]
+        element = {}
         if isinstance(coords, int):
             coords = dict.fromkeys(bits(coords), 1)
         for pos, c in (coords.items() if isinstance(coords, dict) else enumerate(coords)):
             if c != z:
                 j, mono = basis[pos]
-                element[j][mono] = c
+                element.setdefault(j, {})[mono] = c
         return element
 
     def min_degree(self):
@@ -130,63 +131,56 @@ class FreeModule:
 class PolyMatrix:
     """Homogeneous map of graded free modules, entries in the ring.
 
-    entries[i][j] maps source generator j into target slot i; entry (i, j)
-    must be homogeneous of codegree source.shifts[j] - target.shifts[i].
+    columns[j] is the image of source generator j, a polynomial vector
+    {target slot i: nonzero poly}; entry (i, j) must be homogeneous of
+    codegree source.shifts[j] - target.shifts[i].
     """
 
-    def __init__(self, target: FreeModule, source: FreeModule, entries):
+    def __init__(self, target: FreeModule, source: FreeModule, columns):
         if target.ring is not source.ring:
             raise PresentationError("matrix between modules over different rings")
         self.ring = target.ring
         self.target = target
         self.source = source
-        self.entries = [[dict(e) for e in row] for row in entries]
-        if len(self.entries) != target.rank or any(len(r) != source.rank for r in self.entries):
+        self.columns = [{i: dict(p) for i, p in col.items() if p} for col in columns]
+        if len(self.columns) != source.rank or any(
+                not 0 <= i < target.rank for col in self.columns for i in col):
             raise PresentationError("polynomial matrix shape mismatch")
-        for i in range(target.rank):
-            for j in range(source.rank):
-                e = self.entries[i][j]
-                if e:
-                    d = self.ring.poly_codegree(e)
-                    if d != source.shifts[j] - target.shifts[i]:
-                        raise PresentationError(
-                            f"entry ({i},{j}) has codegree {d}, expected "
-                            f"{source.shifts[j] - target.shifts[i]}")
+        for j, col in enumerate(self.columns):
+            for i, e in col.items():
+                d = self.ring.poly_codegree(e)
+                if d != source.shifts[j] - target.shifts[i]:
+                    raise PresentationError(
+                        f"entry ({i},{j}) has codegree {d}, expected "
+                        f"{source.shifts[j] - target.shifts[i]}")
         self._at_cache = {}
-
-    def column(self, j):
-        return [self.entries[i][j] for i in range(self.target.rank)]
 
     def matrix_at(self, n) -> Matrix:
         """The induced linear map source^n -> target^n in quotient coordinates."""
         if n in self._at_cache:
             return self._at_cache[n]
-        cols = self.target.images(self.source.basis(n),
-                                  [self.column(j) for j in range(self.source.rank)], n)
+        cols = self.target.images(self.source.basis(n), self.columns, n)
         m = Matrix.from_columns(self.ring.field, cols, self.target.dim(n))
         self._at_cache[n] = m
         return m
 
-    def entries_times(self, other: "PolyMatrix"):
-        """Entries of the product self . other (other feeds into self)."""
+    def columns_times(self, other: "PolyMatrix"):
+        """Columns of the product self . other (other feeds into self)."""
         ring = self.ring
         out = []
-        for row in self.entries:
-            out_row = []
-            for j in range(other.source.rank):
-                acc = {}
-                for x, other_row in zip(row, other.entries):
-                    if x and other_row[j]:
-                        acc = ring.padd(acc, ring.pmul(x, other_row[j]))
-                out_row.append(acc)
-            out.append(out_row)
+        for col in other.columns:
+            acc = {}
+            for k, y in col.items():
+                for i, x in self.columns[k].items():
+                    acc[i] = ring.padd(acc.get(i, {}), ring.pmul(x, y))
+            out.append({i: p for i, p in acc.items() if p})
         return out
 
     def compose(self, other: "PolyMatrix") -> "PolyMatrix":
         """self o other (other feeds into self)."""
         if other.target is not self.source and other.target.shifts != self.source.shifts:
             raise PresentationError("composition shape mismatch")
-        return PolyMatrix(self.target, other.source, self.entries_times(other))
+        return PolyMatrix(self.target, other.source, self.columns_times(other))
 
     def is_zero_on(self, degrees):
         """True if the induced map vanishes at every listed codegree."""
@@ -194,15 +188,13 @@ class PolyMatrix:
 
     def min_entries_positive(self):
         """Minimality: no entry has a codegree-0 (unit) component."""
-        for i in range(self.target.rank):
-            for j in range(self.source.rank):
-                if self.source.shifts[j] == self.target.shifts[i] and self.entries[i][j]:
-                    return False
-        return True
+        return all(self.source.shifts[j] != self.target.shifts[i]
+                   for j, col in enumerate(self.columns) for i in col)
 
 
 class GradedModule:
-    """Finitely presented graded module: coker of a map of free modules."""
+    """Finitely presented graded module: coker of a map of free modules.
+    Relation columns come in as one poly per generator, as in module files."""
 
     def __init__(self, ring: GradedRing, gen_shifts, rel_columns=None):
         self.ring = ring
@@ -212,17 +204,14 @@ class GradedModule:
         for col in (rel_columns or []):
             if len(col) != len(self.gen_shifts):
                 raise PresentationError("relation column length mismatch")
-            col = [ring._validated_poly(p) for p in col]
-            degs = set()
-            for j, p in enumerate(col):
-                if p:
-                    degs.add(ring.poly_codegree(p) + self.gen_shifts[j])
+            col = {j: p for j, p in enumerate(map(ring._validated_poly, col)) if p}
+            degs = {ring.poly_codegree(p) + self.gen_shifts[j] for j, p in col.items()}
             if len(degs) > 1:
                 raise PresentationError(
                     f"relation column is not homogeneous: codegrees {sorted(degs)}")
             if degs:
                 cols.append((degs.pop(), col))
-        self.rel_columns = cols  # list of (codegree, polynomial vector)
+        self.rel_columns = cols  # [(codegree, {slot: poly})]
         self._component_cache = {}
 
     @classmethod

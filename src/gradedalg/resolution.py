@@ -215,9 +215,7 @@ def minimal_resolution(module: GradedModule, h_max=12, codegree_max=24) -> Resol
         Fi = FreeModule(ring, [d for d, _, _ in gens])
         for d, _, _ in gens:
             betti.add(i, d)
-        entries = [[gens[c][2][r] for c in range(len(gens))]
-                   for r in range(frees[-1].rank)]
-        d_i = PolyMatrix(frees[-1], Fi, entries)
+        d_i = PolyMatrix(frees[-1], Fi, [vec for _, _, vec in gens])
         if not d_i.min_entries_positive():
             raise ResolutionError(f"non-minimal differential at stage {i}")
         diffs.append(d_i)

@@ -154,14 +154,18 @@ class GradedRing:
         return out
 
     def ppow(self, p, n):
-        out = self.pconst(1)
-        base = p
-        while n:
+        """p^n (n >= 0) as a fresh dict, from the squares p^(2^k), which
+        over GF(2) stay as sparse as p; p^1 costs no product."""
+        if n == 0:
+            return self.pconst(1)
+        base, out = p, None
+        while True:
             if n & 1:
-                out = self.pmul(out, base)
-            base = self.pmul(base, base)
+                out = dict(base) if out is None else self.pmul(out, base)
             n >>= 1
-        return out
+            if not n:
+                return out
+            base = self.pmul(base, base)
 
     def poly_codegree(self, p):
         """Codegree of a homogeneous polynomial (raises if mixed)."""

@@ -51,12 +51,36 @@ def test_splice_resolves_over_the_ambient_ring_past_h_max():
     assert betti == [1, 3, 4, 4]
 
 
+def test_splice_subtracts_the_homotopy_products_in_odd_characteristic():
+    # over GF(3), where s_1 d and s_1 s_1 enter the right-hand sides with a
+    # sign; Poincare series (1+t)^3/(1-t^2) as over GF(2)
+    base = ring_with_relations(PrimeField(3), [("x", 2), ("y", 2), ("z", 2)], [])
+    h = HypersurfaceData(base, parse_poly("x^2+y*z", base))
+    k = GradedModule.residue_field(base)
+    terms, diffs, betti = splice_periodic_resolution(h, k, h_max=5, codegree_max=16)
+    assert betti == [1, 3, 4, 4, 4, 4]
+
+
 def test_splice_of_a_shifted_module():
     base = ring_with_relations(F2, [("x", 1), ("y", 1)], [])
     h = HypersurfaceData(base, parse_poly("x^2", base))
     m = GradedModule(base, [0], [[parse_poly("x", base)]])
     terms, diffs, betti = splice_periodic_resolution(h, m, h_max=6)
     assert betti == [1] * 7
+
+
+def test_modules_that_f_does_not_kill_are_rejected():
+    base = ring_with_relations(F2, [("x", 1), ("y", 1)], [])
+    h = HypersurfaceData(base, parse_poly("x^2", base))
+    free = GradedModule(base, [3])  # k[x,y](-3): x^2 * e_0 is not zero
+    with pytest.raises(HypersurfaceError, match="annihilate"):
+        splice_periodic_resolution(h, free, h_max=4)
+    with pytest.raises(HypersurfaceError, match="annihilate"):
+        matrix_factorization_from_resolution(h, free)
+    # k(-3) is killed: f * e_0 is checked in codegree 3 + 2
+    k = GradedModule(base, [3], [[parse_poly("x", base)], [parse_poly("y", base)]])
+    terms, diffs, betti = splice_periodic_resolution(h, k, h_max=5)
+    assert betti == [1, 2, 2, 2, 2, 2]
 
 
 def test_matrix_factorization_on_the_line():
@@ -96,10 +120,10 @@ def test_perturbed_matrix_factorization_fails_verification():
                      [[parse_poly("x", base), parse_poly("4*y", base)],
                       [parse_poly("y", base), parse_poly("x", base)]])
     mf = matrix_factorization_from_resolution(h, m)
-    entries = [list(row) for row in mf.B.entries]
-    r, c = next((r, c) for r, row in enumerate(entries) for c, e in enumerate(row) if e)
-    entries[r][c] = base.pscale(2, entries[r][c])
-    B = PolyMatrix(mf.B.target, mf.B.source, entries)
+    columns = [dict(col) for col in mf.B.columns]
+    r, c = min((r, c) for c, col in enumerate(columns) for r in col)
+    columns[c][r] = base.pscale(2, columns[c][r])
+    B = PolyMatrix(mf.B.target, mf.B.source, columns)
     assert mf.verify()
     assert not MatrixFactorization(h, mf.A, B).verify()
 

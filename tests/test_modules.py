@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gradedalg.fields import PrimeField, Rationals
-from gradedalg.linalg import bits
+from gradedalg.linalg import Matrix, bits
 from gradedalg.modules import FreeModule, PolyMatrix, GradedModule
 from gradedalg.parsing import parse_poly
 from gradedalg.rings import GradedRing, PresentationError
@@ -20,7 +20,7 @@ def test_free_module_dims_add_over_shifts(kxy):
 
 def test_coords_round_trip(kxy):
     free = FreeModule(kxy, [0, 1])
-    element = [parse_poly("x^2+x*y", kxy), parse_poly("y", kxy)]
+    element = {0: parse_poly("x^2+x*y", kxy), 1: parse_poly("y", kxy)}
     coords = free.coords_of(element, 2)
     assert free.element_of(coords, 2) == element
 
@@ -51,17 +51,17 @@ def test_inhomogeneous_relation_column_rejected(kxy):
 def test_polymatrix_enforces_entry_codegrees(kxy):
     src = FreeModule(kxy, [1])
     tgt = FreeModule(kxy, [0])
-    PolyMatrix(tgt, src, [[parse_poly("x", kxy)]])  # codegree 1 entry fits
+    PolyMatrix(tgt, src, [{0: parse_poly("x", kxy)}])  # codegree 1 entry fits
     with pytest.raises(PresentationError):
-        PolyMatrix(tgt, src, [[parse_poly("x^2", kxy)]])
+        PolyMatrix(tgt, src, [{0: parse_poly("x^2", kxy)}])
 
 
 def test_polymatrix_compose_matches_matrix_product(kxy):
     a = FreeModule(kxy, [0])
     b = FreeModule(kxy, [1])
     c = FreeModule(kxy, [2])
-    f = PolyMatrix(a, b, [[parse_poly("x", kxy)]])
-    g = PolyMatrix(b, c, [[parse_poly("y", kxy)]])
+    f = PolyMatrix(a, b, [{0: parse_poly("x", kxy)}])
+    g = PolyMatrix(b, c, [{0: parse_poly("y", kxy)}])
     fg = f.compose(g)
     for n in range(4):
         assert fg.matrix_at(n) == f.matrix_at(n).mul(g.matrix_at(n))
@@ -89,7 +89,8 @@ def _poly(draw, ring, d, max_terms=3):
     if not monos:
         return {}
     chosen = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=max_terms, unique=True))
-    return {m: ring.field.from_int(draw(st.integers(1, ring.field.char - 1))) for m in chosen}
+    top = ring.field.char - 1 if ring.field.char else 5
+    return {m: ring.field.from_int(draw(st.integers(1, top))) for m in chosen}
 
 
 @st.composite
@@ -111,7 +112,7 @@ def _presented_modules(draw):
         d = draw(st.integers(max(shifts), max(n, max(shifts)) + 1))
         columns.append([_poly(draw, ring, d - s) for s in shifts])
     module = GradedModule(ring, shifts, columns)
-    element = [_poly(draw, ring, n - s) for s in shifts]
+    element = {j: p for j, p in enumerate(_poly(draw, ring, n - s) for s in shifts) if p}
     return module, n, element
 
 
@@ -127,8 +128,8 @@ def test_coordinates_round_trip_through_free_and_quotient(case):
     # only basis monomials
     back = free.element_of(coords, n)
     assert free.coords_of(back, n) == coords
-    for j, s in enumerate(free.shifts):
-        assert set(back[j]) <= set(ring.component(n - s).basis)
+    for j, p in back.items():
+        assert p and set(p) <= set(ring.component(n - free.shifts[j]).basis)
     # lift(reduce(v)) is v modulo the relations
     comp = module.component(n)
     quotient = comp.reduce(coords)
@@ -144,3 +145,137 @@ def test_coordinates_round_trip_through_free_and_quotient(case):
         assert lifted_dict == dict.fromkeys(bits(lifted), 1)
         assert free.element_of(lifted_dict, n) == free.element_of(lifted, n)
 
+
+
+# -- sparse columns against the dense route they replaced ------------------
+
+class _DenseMap:
+    """The dense layout PolyMatrix's {slot: poly} columns replaced, kept as
+    the reference: entries[i][j] maps source generator j into target slot
+    i, matrix_at builds each column by visiting every target slot, and
+    entries_times multiplies rows by columns."""
+
+    def __init__(self, target, source, entries):
+        ring = target.ring
+        self.ring, self.target, self.source = ring, target, source
+        self.entries = [[dict(e) for e in row] for row in entries]
+        if len(self.entries) != target.rank or any(len(r) != source.rank for r in self.entries):
+            raise PresentationError("polynomial matrix shape mismatch")
+        for i in range(target.rank):
+            for j in range(source.rank):
+                e = self.entries[i][j]
+                if e and ring.poly_codegree(e) != source.shifts[j] - target.shifts[i]:
+                    raise PresentationError(f"entry ({i},{j}) has the wrong codegree")
+
+    def matrix_at(self, n):
+        ring, F = self.ring, self.ring.field
+        offsets = self.target.offsets(n)
+        cols = []
+        for j, mono in self.source.basis(n):
+            col = {}
+            for i in range(self.target.rank):
+                e = self.entries[i][j]
+                if e:
+                    coords = ring.component(n - self.target.shifts[i]).reduce_poly(
+                        ring.pmul({mono: F.one()}, e))
+                    if F.packed:
+                        coords = dict.fromkeys(bits(coords), 1)
+                    col.update((offsets[i] + k, x) for k, x in coords.items())
+            cols.append(col)
+        return Matrix.from_columns(F, cols, self.target.dim(n))
+
+    def entries_times(self, other):
+        ring = self.ring
+        out = []
+        for row in self.entries:
+            out_row = []
+            for j in range(other.source.rank):
+                acc = {}
+                for x, other_row in zip(row, other.entries):
+                    if x and other_row[j]:
+                        acc = ring.padd(acc, ring.pmul(x, other_row[j]))
+                out_row.append(acc)
+            out.append(out_row)
+        return out
+
+    def compose(self, other):
+        if other.target is not self.source and other.target.shifts != self.source.shifts:
+            raise PresentationError("composition shape mismatch")
+        return _DenseMap(self.target, other.source, self.entries_times(other))
+
+    def min_entries_positive(self):
+        for i in range(self.target.rank):
+            for j in range(self.source.rank):
+                if self.source.shifts[j] == self.target.shifts[i] and self.entries[i][j]:
+                    return False
+        return True
+
+
+def _columns(entries, ncols):
+    """Dense entries -> {slot: poly} columns."""
+    return [{i: row[j] for i, row in enumerate(entries) if row[j]} for j in range(ncols)]
+
+
+@st.composite
+def _map_pairs(draw):
+    """Composable maps f: B -> A and g: C -> B as dense entries, over GF(2),
+    GF(3) with odd generators (which anticommute, so the order of each
+    product matters) or QQ, in a ring of two or three generators and up
+    to two relations.  Ranks run from 1 to 3, and an entry is zero or a
+    polynomial of its codegree, zero when that codegree has no
+    monomials."""
+    field = draw(st.sampled_from([PrimeField(2), PrimeField(3), Rationals()]))
+    # odd codegrees twice as likely, so that odd entries meet in products
+    degrees = draw(st.lists(st.sampled_from([1, 1, 2, 3]), min_size=2, max_size=3))
+    ring = GradedRing(field, [(f"x{i}", d) for i, d in enumerate(degrees)])
+    ring = GradedRing(field, ring.gens, [_poly(draw, ring, draw(st.integers(2, 4)))
+                                         for _ in range(draw(st.integers(0, 2)))])
+    # shifts rise from A to B to C, so most entries have monomials
+    a, b, c = (FreeModule(ring, draw(st.lists(st.integers(lo, lo + 2), min_size=1,
+                                              max_size=3)))
+               for lo in (0, 2, 4))
+
+    def entries(tgt, src):
+        return [[{} if draw(st.booleans()) else _poly(draw, ring, s - t) for s in src.shifts]
+                for t in tgt.shifts]
+
+    return ring, (a, b, c), entries(a, b), entries(b, c)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_map_pairs(), st.data())
+def test_sparse_columns_match_the_dense_route(case, data):
+    ring, (a, b, c), f_entries, g_entries = case
+    f, f_ref = PolyMatrix(a, b, _columns(f_entries, b.rank)), _DenseMap(a, b, f_entries)
+    g, g_ref = PolyMatrix(b, c, _columns(g_entries, c.rank)), _DenseMap(b, c, g_entries)
+    fg, fg_ref = f.compose(g), f_ref.compose(g_ref)
+    assert f.columns_times(g) == fg.columns == _columns(fg_ref.entries, c.rank)
+    for m, ref in ((f, f_ref), (g, g_ref), (fg, fg_ref)):
+        assert m.min_entries_positive() == ref.min_entries_positive()
+        for n in range(-1, 8):
+            assert m.matrix_at(n) == ref.matrix_at(n)
+    # the shifts of C are above those of A, so g o f is a shape error
+    with pytest.raises(PresentationError):
+        g_ref.compose(f_ref)
+    with pytest.raises(PresentationError):
+        g.compose(f)
+    # a wrong codegree anywhere is refused by both
+    i = data.draw(st.integers(0, a.rank - 1))
+    j = data.draw(st.integers(0, b.rank - 1))
+    wrong = next(p for p in (ring.pconst(1), ring.gen_poly(0))
+                 if ring.poly_codegree(p) != b.shifts[j] - a.shifts[i])
+    bad = [list(row) for row in f_entries]
+    bad[i][j] = wrong
+    with pytest.raises(PresentationError):
+        _DenseMap(a, b, bad)
+    with pytest.raises(PresentationError):
+        PolyMatrix(a, b, _columns(bad, b.rank))
+    # one column too few, and an entry below the last target slot
+    with pytest.raises(PresentationError):
+        _DenseMap(a, b, [row[:-1] for row in f_entries])
+    with pytest.raises(PresentationError):
+        PolyMatrix(a, b, _columns(f_entries, b.rank)[:-1])
+    with pytest.raises(PresentationError):
+        _DenseMap(a, b, f_entries + [[ring.pconst(1)] * b.rank])
+    with pytest.raises(PresentationError):
+        PolyMatrix(a, b, [{a.rank: ring.pconst(1)}] + _columns(f_entries, b.rank)[1:])

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import densified
 from gradedalg.fields import PrimeField, Rationals
 from gradedalg.linalg import Matrix, RowSpace
-from gradedalg.parsing import ring_with_relations
+from gradedalg.parsing import parse_poly, ring_with_relations
 from gradedalg.presets import get_preset
 from gradedalg.rings import GradedRing, PresentationError, polynomial_ring
 
@@ -249,6 +249,27 @@ def test_monomial_products_match_the_reference(case):
     product = ring.mono_times_poly(m1, p)
     reference = _mono_times_poly_reference(ring, m1, p)
     assert product == reference and list(product) == list(reference)
+
+
+@pytest.mark.parametrize("field, gens, sources", [
+    # signed: x and y anticommute, so (x + y)^2 vanishes
+    (PrimeField(3), [("x", 1), ("y", 1), ("z", 2)], ["x*y + 2*z", "x + y", "z"]),
+    # coded: no odd-signed generator
+    (PrimeField(2), [("x", 1), ("y", 2)], ["x^2 + y", "x"]),
+])
+def test_powers_match_repeated_products(field, gens, sources):
+    ring = ring_with_relations(field, gens, [])
+    assert ring.signed != ring.coded
+    for src in sources:
+        p = parse_poly(src, ring)
+        expected = ring.pconst(1)
+        for n in range(7):
+            assert ring.ppow(p, n) == expected, (src, n)
+            expected = ring.pmul(expected, p)
+        # a fresh dict even for n = 1, so a caller may change it
+        power = ring.ppow(p, 1)
+        power.clear()
+        assert p == parse_poly(src, ring)
 
 
 
