@@ -165,14 +165,17 @@ class PolyMatrix:
         return m
 
     def columns_times(self, other: "PolyMatrix"):
-        """Columns of the product self . other (other feeds into self)."""
+        """Columns of the product self . other (other feeds into self).
+
+        Entry (i, j) sums other's entry times self's, in that order: a
+        module map sends r * e_j to r * column j."""
         ring = self.ring
         out = []
         for col in other.columns:
             acc = {}
             for k, y in col.items():
                 for i, x in self.columns[k].items():
-                    acc[i] = ring.padd(acc.get(i, {}), ring.pmul(x, y))
+                    acc[i] = ring.padd(acc.get(i, {}), ring.pmul(y, x))
             out.append({i: p for i, p in acc.items() if p})
         return out
 

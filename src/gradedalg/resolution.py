@@ -4,8 +4,15 @@ and the Ext-growth classifier.
 The resolution is built by iterated degreewise kernels.  At each stage,
 kernel elements are processed by increasing codegree; an element becomes
 a new generator exactly when it falls outside (maximal ideal) * (kernel
-so far), decided by a rank test.  Differentials therefore have all
-entries in the maximal ideal.
+so far).  Differentials therefore have all entries in the maximal ideal.
+
+Inside the window (codegrees <= codegree_max) the prefix built so far is
+exact: F_0 -> M is onto there and every generator of each kernel up to
+codegree_max has been added.  So dim ker(d_i)_n = dim F_i(n) - dim
+ker(d_(i-1))_n, with dim M_n in place of the last at the first stage,
+and a codegree whose products x_j * (kernel below) already reach that
+dimension needs no matrix of d_i: only where they fall short is d_i's
+matrix built and its kernel basis searched for new generators.
 """
 
 from __future__ import annotations
@@ -122,52 +129,96 @@ def _minimal_generators_of_module(module: GradedModule, codegree_max):
     return gens
 
 
-def _kernel_generators(diff, source: FreeModule, codegree_max):
+class _GeneratorProducts(dict):
+    """x_i times the basis vectors of a free module at codegree n - |x_i|,
+    as coordinates at codegree n, keyed by basis position and each built
+    on its first lookup, so combine(field, products, v) is x_i * v.
+
+    The ring's generator table gives b * x_i, and x_i * b is
+    (-1)^(|x_i| |b|) b * x_i: an odd generator (in characteristic other
+    than 2) negates the images of the odd monomials.
+    """
+
+    __slots__ = ("source", "i", "n", "basis", "slots")
+
+    def __init__(self, source: FreeModule, i, n):
+        super().__init__()
+        self.source, self.i, self.n = source, i, n
+        self.basis = source.basis(n - source.ring.codegrees[i])
+        self.slots = {}  # slot -> (offset at n, generator table, negate)
+
+    def __missing__(self, k):
+        ring = self.source.ring
+        s, b = self.basis[k]
+        part = self.slots.get(s)
+        if part is None:
+            a = self.n - ring.codegrees[self.i] - self.source.shifts[s]
+            part = self.slots[s] = (self.source.offsets(self.n)[s],
+                                    ring.generator_table(self.i, a),
+                                    ring.odd[self.i] and a % 2 == 1)
+        offset, table, negate = part
+        coords = table[b]
+        if ring.field.packed:
+            w = coords << offset
+        elif negate:
+            neg = ring.field.neg
+            w = {offset + c: neg(x) for c, x in coords.items()}
+        else:
+            w = {offset + c: x for c, x in coords.items()}
+        self[k] = w
+        return w
+
+
+def _kernel_generators(diff, source: FreeModule, codegree_max, image_dims):
     """Minimal generators of ker(diff) where diff maps source -> (module or free).
 
-    diff must provide matrix_at(n).  Returns (gens, kernel_seen_nonzero)
-    where gens is a list of (degree, coordinate vector, polynomial vector).
+    image_dims[n] is the dimension of diff's image in codegree n, for
+    every n from source.min_degree() to codegree_max, so the kernel's is
+    source.dim(n) - image_dims[n].  In each codegree the span of x_j *
+    (kernel basis at n - |x_j|) is filled until it reaches that
+    dimension; only where it falls short is diff.matrix_at(n) built, and
+    the vectors of its kernel basis that enlarge the span become the
+    generators.  Returns (gens, kernel_dims): gens a list of (codegree,
+    coordinate vector, polynomial vector), kernel_dims[n] the kernel's
+    dimension, which is the next differential's image.
     """
     ring = source.ring
     F = ring.field
     gens = []
-    kernels = {}  # n -> list of kernel basis vectors (source coords)
-    lo = source.min_degree()
-    any_kernel = False
-    for n in range(lo, codegree_max + 1):
-        dim_n = source.dim(n)
-        if dim_n == 0:
-            kernels[n] = []
+    kernels = {}  # n -> basis of ker_n (source coords): products, then generators
+    kernel_dims = {}
+    for n in range(source.min_degree(), codegree_max + 1):
+        want = kernel_dims[n] = source.dim(n) - image_dims[n]
+        if want == 0:
+            continue
+        span = RowSpace(F, source.dim(n))
+        basis = kernels[n] = []
+        # x_j times the kernel below lies in ker_n (diff is a module map),
+        # so once these products span `want` dimensions they span ker_n
+        # and no generator appears here
+        for j in range(ring.ngens):
+            lower = kernels.get(n - ring.codegrees[j])
+            if span.dim == want or not lower:
+                continue
+            products = _GeneratorProducts(source, j, n)
+            for v in lower:
+                w = combine(F, products, v)
+                if span.insert(w):
+                    basis.append(w)
+                    if span.dim == want:
+                        break
+        if span.dim == want:
             continue
         kb = diff.matrix_at(n).kernel_basis()
-        kernels[n] = kb
-        if not kb:
-            continue
-        any_kernel = True
-        # x_i times the kernel below lies in ker_n (diff is a module map),
-        # so once these products span len(kb) dimensions they span ker_n
-        # and no generator appears here
-        span = RowSpace(F, dim_n)
-        for i in range(ring.ngens):
-            if span.dim == len(kb):
-                break
-            dx = ring.codegrees[i]
-            lower = kernels.get(n - dx)
-            if not lower:
-                continue
-            # combined from the sparse images of x_i times each basis vector
-            cols = source.images(source.basis(n - dx),
-                                 source.scalar_columns(ring.gen_poly(i)), n)
-            for v in lower:
-                span.insert(combine(F, cols, v))
-                if span.dim == len(kb):
-                    break
+        if len(kb) != want:
+            raise ResolutionError(f"resolution not exact in codegree {n}")
         for v in kb:
-            if span.dim == len(kb):
+            if span.dim == want:
                 break
             if span.insert(v):
+                basis.append(v)
                 gens.append((n, v, source.element_of(v, n)))
-    return gens, any_kernel
+    return gens, kernel_dims
 
 
 def minimal_resolution(module: GradedModule, h_max=12, codegree_max=24) -> Resolution:
@@ -205,10 +256,13 @@ def minimal_resolution(module: GradedModule, h_max=12, codegree_max=24) -> Resol
     frees = [F0]
     diffs = []
     current = aug
+    # F_0 -> M is onto inside the window
+    image_dims = {n: module.dim(n) for n in range(F0.min_degree(), codegree_max + 1)}
     for i in range(1, h_max + 1):
-        gens, any_kernel = _kernel_generators(current, frees[-1], codegree_max)
+        gens, image_dims = _kernel_generators(current, frees[-1], codegree_max, image_dims)
         if not gens:
-            if not any_kernel and covers_presentation:
+            # the least codegree of a nonzero kernel would have a generator
+            if covers_presentation:
                 betti.complete = True
                 betti.length = i - 1
             break

@@ -255,11 +255,16 @@ class GradedRing:
         resolution stage and module over the ring reuses them.
         """
         gen = self._generator_of(p)
-        if gen is not None and (gen, a) in self._generator_tables:
-            return self._generator_tables[gen, a]
-        table = _TimesTable(p, self.component(a + self.poly_codegree(p)))
         if gen is not None:
-            self._generator_tables[gen, a] = table
+            return self.generator_table(gen, a)
+        return _TimesTable(p, self.component(a + self.poly_codegree(p)))
+
+    def generator_table(self, i, a):
+        """times_table of the generator x_i at codegree a, made once."""
+        table = self._generator_tables.get((i, a))
+        if table is None:
+            table = self._generator_tables[i, a] = _TimesTable(
+                self.gen_poly(i), self.component(a + self.codegrees[i]))
         return table
 
     def _generator_of(self, p):

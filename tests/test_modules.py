@@ -153,7 +153,8 @@ class _DenseMap:
     """The dense layout PolyMatrix's {slot: poly} columns replaced, kept as
     the reference: entries[i][j] maps source generator j into target slot
     i, matrix_at builds each column by visiting every target slot, and
-    entries_times multiplies rows by columns."""
+    entries_times multiplies rows by columns, other's entry on the left:
+    a module map sends r * e_j to r * column j."""
 
     def __init__(self, target, source, entries):
         ring = target.ring
@@ -193,7 +194,7 @@ class _DenseMap:
                 acc = {}
                 for x, other_row in zip(row, other.entries):
                     if x and other_row[j]:
-                        acc = ring.padd(acc, ring.pmul(x, other_row[j]))
+                        acc = ring.padd(acc, ring.pmul(other_row[j], x))
                 out_row.append(acc)
             out.append(out_row)
         return out
@@ -254,6 +255,8 @@ def test_sparse_columns_match_the_dense_route(case, data):
         assert m.min_entries_positive() == ref.min_entries_positive()
         for n in range(-1, 8):
             assert m.matrix_at(n) == ref.matrix_at(n)
+    for n in range(-1, 8):
+        assert fg.matrix_at(n) == f.matrix_at(n).mul(g.matrix_at(n))
     # the shifts of C are above those of A, so g o f is a shape error
     with pytest.raises(PresentationError):
         g_ref.compose(f_ref)
@@ -279,3 +282,13 @@ def test_sparse_columns_match_the_dense_route(case, data):
         _DenseMap(a, b, f_entries + [[ring.pconst(1)] * b.rank])
     with pytest.raises(PresentationError):
         PolyMatrix(a, b, [{a.rank: ring.pconst(1)}] + _columns(f_entries, b.rank)[1:])
+
+
+def test_composite_induces_the_product_of_the_induced_maps():
+    # f = (x): R(-1) -> R and g = (y): R(-2) -> R(-1) over GF(3)[x, y], x and
+    # y odd: (f o g)(e) = y * x, which is -x * y
+    ring = GradedRing(PrimeField(3), [("x", 1), ("y", 1)])
+    r0, r1, r2 = (FreeModule(ring, [s]) for s in (0, 1, 2))
+    f = PolyMatrix(r0, r1, [{0: ring.gen_poly(0)}])
+    g = PolyMatrix(r1, r2, [{0: ring.gen_poly(1)}])
+    assert f.compose(g).matrix_at(2) == f.matrix_at(2).mul(g.matrix_at(2))
