@@ -168,11 +168,7 @@ def _cmd_functional_eq(args):
 def _cmd_localcoh(args):
     ring = _load_ring(args.ring)
     module = _load_module(args.module) if args.module else GradedModule.ring_as_module(ring)
-    if args.module is None:
-        ideal_ring = ring
-    else:
-        ideal_ring = module.ring
-    elements = _parse_ideal(args.ideal, ideal_ring)
+    elements = _parse_ideal(args.ideal, module.ring)
     window = _parse_window(args.window)
     report = {"command": "localcoh", "method": args.method, "lines": []}
     failed = False
@@ -205,9 +201,10 @@ def _cmd_localcoh(args):
 
 def _cmd_koszul(args):
     ring = _load_ring(args.ring)
-    module = _load_module(args.module) if args.module else None
-    elements = _parse_ideal(args.elements, ring)
-    verdict, detail = is_regular_sequence(ring, elements,
+    module = _load_module(args.module) if args.module else GradedModule.ring_as_module(ring)
+    # the module file names its own ring; the elements act on it
+    elements = _parse_ideal(args.elements, module.ring)
+    verdict, detail = is_regular_sequence(module.ring, elements,
                                           codegree_max=args.codegree_max,
                                           module=module)
     text = {True: "regular", False: "not regular", None: "inconclusive"}[verdict]
@@ -241,7 +238,7 @@ def _cmd_hypersurface(args):
     if not ring.is_polynomial():
         raise InputError("the ambient ring of a hypersurface must have no relations")
     f = parse_poly(args.f, ring)
-    h = HypersurfaceData(ring, f, codegree_window=max(48, args.codegree_max))
+    h = HypersurfaceData(ring, f)
     if args.module:
         module = _load_module(args.module)
     elif args.mf:

@@ -9,7 +9,6 @@ factorization (A, B) with AB = BA = f * identity.
 
 from __future__ import annotations
 
-from .koszul import KoszulComplex
 from .modules import FreeModule, GradedModule, PolyMatrix
 from .resolution import BettiTable, minimal_resolution
 
@@ -19,9 +18,12 @@ class HypersurfaceError(ValueError):
 
 
 class HypersurfaceData:
-    """Ambient polynomial ring S, nonzerodivisor f, quotient R = S/(f)."""
+    """Ambient polynomial ring S, nonzerodivisor f, quotient R = S/(f).
 
-    def __init__(self, base, f, codegree_window=24):
+    codegree_window is ignored: the nonzerodivisor test is exact.
+    """
+
+    def __init__(self, base, f, codegree_window=None):
         if not base.is_polynomial():
             raise HypersurfaceError("ambient ring must have no relations")
         if not f:
@@ -29,12 +31,11 @@ class HypersurfaceData:
         self.base = base
         self.f = f
         self.d = base.poly_codegree(f)
-        # nonzerodivisor check: first Koszul homology of (f) on S vanishes
-        K = KoszulComplex(base, [f])
-        for n in range(0, codegree_window + 1):
-            h = K.homology_dim(1, n)
-            if h:
-                raise HypersurfaceError(f"f is a zerodivisor (Koszul H_1 at codegree {n})")
+        # S is a polynomial ring tensor an exterior algebra on its odd
+        # generators.  A monomial of f free of them makes f * s nonzero in
+        # the least exterior degree of any s != 0; without one f is nilpotent.
+        if not any(all(e == 0 for e, odd in zip(m, base.odd) if odd) for m in f):
+            raise HypersurfaceError("f is a zerodivisor: each monomial has an odd generator")
         self.quotient = base.quotient_with([f])
 
     def transfer_module(self, module):

@@ -51,6 +51,10 @@ class KoszulComplex:
             if len(degs) != 1 or min(degs) < 1:
                 raise KoszulError("Koszul elements must be homogeneous of codegree >= 1")
             self.codegrees.append(degs.pop())
+        if ring.signed and sum(d % 2 for d in self.codegrees) > 1:
+            # odd elements anticommute, so the exterior differential on two
+            # of them does not square to zero
+            raise KoszulError("at most one odd-codegree element outside characteristic 2")
         self.c = len(self.elements)
         # degree c + 1 has no subsets, so the differential out of degree c is zero
         self.subsets = [list(combinations(range(self.c), i)) for i in range(self.c + 2)]

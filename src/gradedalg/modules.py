@@ -133,10 +133,11 @@ class PolyMatrix:
 
     columns[j] is the image of source generator j, a polynomial vector
     {target slot i: nonzero poly}; entry (i, j) must be homogeneous of
-    codegree source.shifts[j] - target.shifts[i].
+    codegree source.shifts[j] - target.shifts[i].  The target may also be
+    a GradedModule (a map onto M), read through its generators' slots.
     """
 
-    def __init__(self, target: FreeModule, source: FreeModule, columns):
+    def __init__(self, target, source: FreeModule, columns):
         if target.ring is not source.ring:
             raise PresentationError("matrix between modules over different rings")
         self.ring = target.ring
@@ -144,7 +145,7 @@ class PolyMatrix:
         self.source = source
         self.columns = [{i: dict(p) for i, p in col.items() if p} for col in columns]
         if len(self.columns) != source.rank or any(
-                not 0 <= i < target.rank for col in self.columns for i in col):
+                not 0 <= i < len(target.shifts) for col in self.columns for i in col):
             raise PresentationError("polynomial matrix shape mismatch")
         for j, col in enumerate(self.columns):
             for i, e in col.items():
@@ -258,13 +259,28 @@ class GradedModule:
         """The largest codegree of a generator or a relation column."""
         return max([*self.gen_shifts, *(d for d, _ in self.rel_columns)], default=0)
 
+    @property
+    def shifts(self):
+        """The generators' codegrees, read by a PolyMatrix into M."""
+        return self.gen_shifts
+
+    def images(self, pairs, columns, n):
+        """FreeModule.images on the generators' slots, in M's quotient
+        coordinates at codegree n."""
+        comp = self.component(n)
+        return [comp.reduce(v) for v in self.free.images(pairs, columns, n)]
+
+    def element_of(self, coords, n):
+        """A polynomial vector {slot: poly} representing quotient
+        coordinates at codegree n."""
+        return self.free.element_of(self.component(n).lift(coords), n)
+
     def mult_columns(self, poly, n):
         """Multiplication by a homogeneous polynomial, M^n -> M^(n+|poly|),
         as its columns: the image of each basis vector of M^n in the
         quotient coordinates of M^(n+|poly|), in the field's format."""
-        tgt = self.component(n + self.ring.poly_codegree(poly))
-        cols = self.free.images(self.component(n).basis, self.free.scalar_columns(poly), tgt.n)
-        return [tgt.reduce(v) for v in cols]
+        return self.images(self.component(n).basis, self.free.scalar_columns(poly),
+                           n + self.ring.poly_codegree(poly))
 
     def mult_matrix(self, poly, n) -> Matrix:
         """Multiplication by a homogeneous polynomial: M^n -> M^(n+|poly|)."""

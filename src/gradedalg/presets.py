@@ -318,7 +318,7 @@ def _run_hypersurface_checks(p: Preset, report):
         return
     base = GradedRing(p.field(), p.generators)
     f = parse_poly(p.gulliksen_f, base)
-    h = HypersurfaceData(base, f, codegree_window=48)
+    h = HypersurfaceData(base, f)
     k = GradedModule.residue_field(h.quotient)
     info = gulliksen_periodicity_check(h, k, h_max=12, codegree_max=44)
     _check(report, "gulliksen_operator_codegree",

@@ -1,25 +1,29 @@
 """Minimal free resolutions over connected graded rings, Betti tables,
 and the Ext-growth classifier.
 
-The resolution is built by iterated degreewise kernels.  At each stage,
-kernel elements are processed by increasing codegree; an element becomes
-a new generator exactly when it falls outside (maximal ideal) * (kernel
-so far).  Differentials therefore have all entries in the maximal ideal.
+Every stage runs one generator search on a graded submodule K_i: K_0 is
+M itself, then K_i = ker(d_(i-1)) inside F_(i-1).  Elements of K_i are
+processed by increasing codegree; one becomes a new generator exactly
+when it falls outside (maximal ideal) * K_i.  The augmentation F_0 -> M
+and the differentials are all PolyMatrix maps, and the differentials
+have all entries in the maximal ideal.  At stage 0 the candidates are
+the unit vectors of M_n, up to M's last generator, above which M_n =
+(m M)_n; so a free module resolves as itself only when the window
+reaches its generators.
 
 Inside the window (codegrees <= codegree_max) the prefix built so far is
 exact: F_0 -> M is onto there and every generator of each kernel up to
-codegree_max has been added.  So dim ker(d_i)_n = dim F_i(n) - dim
-ker(d_(i-1))_n, with dim M_n in place of the last at the first stage,
-and a codegree whose products x_j * (kernel below) already reach that
-dimension needs no matrix of d_i: only where they fall short is d_i's
-matrix built and its kernel basis searched for new generators.
+codegree_max has been added.  So dim K_(i+1),n = dim F_i(n) - dim
+K_i,n, and a codegree whose products x_j * (K_i below) already reach
+that dimension needs no candidates: only where they fall short are they
+read, at stage i >= 1 the kernel basis of d_(i-1)'s matrix.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import Matrix, RowSpace, combine, unit_vector
+from .linalg import RowSpace, combine, unit_vector
 from .modules import FreeModule, GradedModule, PolyMatrix
 
 
@@ -60,26 +64,6 @@ class BettiTable:
         return f"BettiTable({self.totals()}{' complete' if self.complete else ''})"
 
 
-class _MapToModule:
-    """The augmentation F_0 -> M; columns are elements of M's ambient free module."""
-
-    def __init__(self, module: GradedModule, source: FreeModule, columns):
-        self.module = module
-        self.source = source
-        self.columns = columns  # one polynomial vector (in module.free slots) per generator
-        self._cache = {}
-
-    def matrix_at(self, n) -> Matrix:
-        if n in self._cache:
-            return self._cache[n]
-        module = self.module
-        comp = module.component(n)
-        cols = module.free.images(self.source.basis(n), self.columns, n)
-        m = Matrix.from_columns(module.ring.field, [comp.reduce(v) for v in cols], comp.dim)
-        self._cache[n] = m
-        return m
-
-
 class Resolution:
     """A minimal free resolution prefix ... -> F_1 -> F_0 -> M -> 0."""
 
@@ -87,7 +71,7 @@ class Resolution:
         self.module = module
         self.frees = frees            # [F_0, F_1, ...]
         self.diffs = diffs            # [d_1: F_1->F_0, d_2, ...]
-        self.augmentation = augmentation
+        self.augmentation = augmentation  # F_0 -> M, a PolyMatrix into M
         self.betti = betti
 
     def check_complex(self, degrees):
@@ -104,29 +88,6 @@ class Resolution:
                 if not prod.is_zero():
                     return False
         return True
-
-
-def _minimal_generators_of_module(module: GradedModule, codegree_max):
-    """Degrees and representatives of a minimal generating set of M."""
-    ring = module.ring
-    gens = []  # (degree, polynomial vector in module.free slots)
-    lo = module.min_degree()
-    for n in range(lo, codegree_max + 1):
-        comp = module.component(n)
-        if comp.dim == 0:
-            continue
-        span = RowSpace(ring.field, comp.dim)
-        for i in range(ring.ngens):
-            dx = ring.codegrees[i]
-            if n - dx < lo:
-                continue
-            for col in module.mult_columns(ring.gen_poly(i), n - dx):
-                span.insert(col)
-        for k in range(comp.dim):
-            e = unit_vector(ring.field, k)
-            if span.insert(e):
-                gens.append((n, module.free.element_of(comp.lift(e), n)))
-    return gens
 
 
 class _GeneratorProducts(dict):
@@ -169,38 +130,39 @@ class _GeneratorProducts(dict):
         return w
 
 
-def _kernel_generators(diff, source: FreeModule, codegree_max, image_dims):
-    """Minimal generators of ker(diff) where diff maps source -> (module or free).
+def _kernel_generators(ambient, diff, dims, top):
+    """Minimal generators of a graded submodule K of ambient, codegrees up
+    to top: K = M itself when ambient is the module M and diff is None,
+    else K = ker(diff) inside diff's source, a free module.
 
-    image_dims[n] is the dimension of diff's image in codegree n, for
-    every n from source.min_degree() to codegree_max, so the kernel's is
-    source.dim(n) - image_dims[n].  In each codegree the span of x_j *
-    (kernel basis at n - |x_j|) is filled until it reaches that
-    dimension; only where it falls short is diff.matrix_at(n) built, and
-    the vectors of its kernel basis that enlarge the span become the
-    generators.  Returns (gens, kernel_dims): gens a list of (codegree,
-    coordinate vector, polynomial vector), kernel_dims[n] the kernel's
-    dimension, which is the next differential's image.
+    dims[n] is dim K_n.  In each codegree the span of x_j * (basis of K
+    at n - |x_j|) is filled until it reaches dims[n]; only where it falls
+    short are vectors spanning K_n read (the unit vectors of M_n, or the
+    kernel basis of diff.matrix_at(n)), and those that enlarge the span
+    become the generators.  Returns them as (codegree, coordinate vector).
     """
-    ring = source.ring
+    ring = ambient.ring
     F = ring.field
     gens = []
-    kernels = {}  # n -> basis of ker_n (source coords): products, then generators
-    kernel_dims = {}
-    for n in range(source.min_degree(), codegree_max + 1):
-        want = kernel_dims[n] = source.dim(n) - image_dims[n]
+    bases = {}  # n -> basis of K_n (ambient coords): products, then generators
+    for n in range(ambient.min_degree(), top + 1):
+        want = dims[n]
         if want == 0:
             continue
-        span = RowSpace(F, source.dim(n))
-        basis = kernels[n] = []
-        # x_j times the kernel below lies in ker_n (diff is a module map),
-        # so once these products span `want` dimensions they span ker_n
-        # and no generator appears here
+        span = RowSpace(F, ambient.dim(n))
+        basis = bases[n] = []
+        # x_j times K below lies in K_n (K is a submodule), so once these
+        # products span `want` dimensions they span K_n and no generator
+        # appears here
         for j in range(ring.ngens):
-            lower = kernels.get(n - ring.codegrees[j])
+            a = n - ring.codegrees[j]
+            lower = bases.get(a)
             if span.dim == want or not lower:
                 continue
-            products = _GeneratorProducts(source, j, n)
+            # x_j times ambient's basis at a, by position; M's multiplication
+            # columns span x_j * M_a whichever side x_j multiplies from
+            products = (ambient.mult_columns(ring.gen_poly(j), a) if diff is None
+                        else _GeneratorProducts(ambient, j, n))
             for v in lower:
                 w = combine(F, products, v)
                 if span.insert(w):
@@ -209,73 +171,62 @@ def _kernel_generators(diff, source: FreeModule, codegree_max, image_dims):
                         break
         if span.dim == want:
             continue
-        kb = diff.matrix_at(n).kernel_basis()
-        if len(kb) != want:
-            raise ResolutionError(f"resolution not exact in codegree {n}")
-        for v in kb:
+        if diff is None:
+            spanning = [unit_vector(F, k) for k in range(want)]
+        else:
+            spanning = diff.matrix_at(n).kernel_basis()
+            if len(spanning) != want:
+                raise ResolutionError(f"resolution not exact in codegree {n}")
+        for v in spanning:
             if span.dim == want:
                 break
             if span.insert(v):
                 basis.append(v)
-                gens.append((n, v, source.element_of(v, n)))
-    return gens, kernel_dims
+                gens.append((n, v))
+    return gens
 
 
 def minimal_resolution(module: GradedModule, h_max=12, codegree_max=24) -> Resolution:
     """Minimal free resolution of M out to homological degree h_max.
 
     Betti entries are exact for codegrees <= codegree_max; the table's
-    `complete` flag is set when some kernel vanished identically inside
-    the window (finite projective dimension witnessed there), and only
-    when the window reaches every generator and relation of M: a kernel
-    that vanishes below a relation says nothing about it.
+    `complete` flag is set when some stage finds no generator inside the
+    window (finite projective dimension witnessed there, -1 for M = 0),
+    and only when the window reaches every generator and relation of M:
+    a kernel that vanishes below a relation says nothing about it.
     """
     ring = module.ring
     betti = BettiTable(h_max, codegree_max)
     covers_presentation = codegree_max >= module.presentation_codegree()
-    if not module.rel_columns:
-        # already free on its listed generators: the identity resolves it
-        F0 = FreeModule(ring, list(module.gen_shifts))
-        for d in module.gen_shifts:
-            betti.add(0, d)
-        betti.complete = True
-        betti.length = 0
-        return Resolution(module, [F0], [],
-                          _MapToModule(module, F0, F0.scalar_columns(ring.pconst(1))), betti)
-    gens0 = _minimal_generators_of_module(module, codegree_max)
-    if not gens0:
-        if covers_presentation:
-            betti.complete = True
-            betti.length = -1
-        F0 = FreeModule(ring, [])
-        return Resolution(module, [F0], [], _MapToModule(module, F0, []), betti)
-    F0 = FreeModule(ring, [d for d, _ in gens0])
-    for d, _ in gens0:
-        betti.add(0, d)
-    aug = _MapToModule(module, F0, [vec for _, vec in gens0])
-    frees = [F0]
-    diffs = []
-    current = aug
-    # F_0 -> M is onto inside the window
-    image_dims = {n: module.dim(n) for n in range(F0.min_degree(), codegree_max + 1)}
-    for i in range(1, h_max + 1):
-        gens, image_dims = _kernel_generators(current, frees[-1], codegree_max, image_dims)
+    window = range(module.min_degree(), codegree_max + 1)
+    # stage i finds the generators of K_i inside `ambient`: K_0 = M, then
+    # K_i = ker(d_(i-1)) in F_(i-1).  Above M's generators M_n = (m M)_n
+    # (R is connected), so stage 0 stops at the last of them.
+    ambient, diff = module, None
+    dims = {n: module.dim(n) for n in window}
+    top = min(codegree_max, max(module.gen_shifts, default=0))
+    frees, maps = [], []
+    for i in range(h_max + 1):
+        gens = _kernel_generators(ambient, diff, dims, top)
+        if gens or i == 0:  # F_0 stays, empty when M is zero
+            Fi = FreeModule(ring, [n for n, _ in gens])
+            for n, _ in gens:
+                betti.add(i, n)
+            diff = PolyMatrix(ambient, Fi, [ambient.element_of(v, n) for n, v in gens])
+            if i and not diff.min_entries_positive():
+                raise ResolutionError(f"non-minimal differential at stage {i}")
+            frees.append(Fi)
+            maps.append(diff)
         if not gens:
-            # the least codegree of a nonzero kernel would have a generator
+            # the least codegree of a nonzero K_i would have a generator
             if covers_presentation:
                 betti.complete = True
                 betti.length = i - 1
             break
-        Fi = FreeModule(ring, [d for d, _, _ in gens])
-        for d, _, _ in gens:
-            betti.add(i, d)
-        d_i = PolyMatrix(frees[-1], Fi, [vec for _, _, vec in gens])
-        if not d_i.min_entries_positive():
-            raise ResolutionError(f"non-minimal differential at stage {i}")
-        diffs.append(d_i)
-        frees.append(Fi)
-        current = d_i
-    return Resolution(module, frees, diffs, aug, betti)
+        # d_i maps F_i onto K_i inside the window, so K_(i+1) = ker(d_i)
+        dims = {n: Fi.dim(n) - dims[n] for n in window}
+        ambient, top = Fi, codegree_max
+    return Resolution(module, frees, maps[1:], maps[0], betti)
 
 
 class GrowthClass:

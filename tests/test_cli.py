@@ -168,6 +168,16 @@ def test_module_file_uses_the_documented_keys(ring_file, capsys):
     assert json.loads(capsys.readouterr().out)["betti"] == [1, 2, 1]
 
 
+def test_koszul_elements_act_on_the_module_file(ring_file, capsys):
+    # M = k[x,y]/(x^2): x is a zerodivisor on M (x * x = 0), and y is
+    # regular, which a window cannot prove for an infinite M (exit 0)
+    module = ring_file({"ring": RING_KXY, "gen_shifts": [0], "rel_columns": [["x^2"]]},
+                       "module.json")
+    ring = ring_file(RING_KXY)
+    assert run_cli(["koszul", ring, "--module", module, "--elements", "y"]) == 0
+    assert run_cli(["koszul", ring, "--module", module, "--elements", "x"]) == 1
+
+
 @pytest.mark.parametrize("data", [
     {"ring": RING_KXY, "gens": [0], "rels": [["x"]]},
     {"ring": dict(RING_KXY, relation=["x^2"])},

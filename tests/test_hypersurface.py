@@ -25,6 +25,16 @@ def test_hypersurface_rejects_zero_divisors():
         HypersurfaceData(base, parse_poly("x^2", base))
 
 
+def test_nonzerodivisors_are_the_elements_with_a_monomial_free_of_odd_generators():
+    # GF(3)[x, y, z] is k[z] tensor the exterior algebra on the odd x and y
+    base = ring_with_relations(PrimeField(3), [("x", 1), ("y", 1), ("z", 2)], [])
+    for nilpotent in ("x", "x*y"):
+        with pytest.raises(HypersurfaceError):
+            HypersurfaceData(base, parse_poly(nilpotent, base))
+    h = HypersurfaceData(base, parse_poly("z + x*y", base))
+    assert h.d == 2 and h.quotient.dim(2) == base.dim(2) - 1
+
+
 def test_splice_gives_two_periodic_betti():
     h = _line_squared()
     k = GradedModule.residue_field(h.base)

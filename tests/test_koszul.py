@@ -64,6 +64,24 @@ def test_constant_and_inhomogeneous_elements_are_rejected():
             cech_table(module, [x, bad], range(0, 2))
 
 
+def test_two_odd_elements_outside_characteristic_two_are_rejected():
+    # over GF(3) the odd x and y anticommute, so the exterior differential
+    # on [x, y] does not square to zero
+    ring = ring_with_relations(PrimeField(3), [("x", 1), ("y", 1), ("z", 2)], [])
+    x, y, z = (parse_poly(g, ring) for g in "xyz")
+    with pytest.raises(KoszulError):
+        KoszulComplex(ring, [x, y])
+    with pytest.raises(LocalCohomologyError):
+        cech_table(GradedModule.ring_as_module(ring), [z, x, y], range(0, 2))
+    # one odd element is a complex: z is regular, and H_1(x) on R/(z) =
+    # k<x, y> is x times it, one-dimensional in chain codegrees 2 and 3
+    K = KoszulComplex(ring, [z, x])
+    assert [K.homology_dim(1, n) for n in range(5)] == [0, 0, 1, 1, 0]
+    # in characteristic 2 nothing anticommutes
+    ring2 = ring_with_relations(F2, [("x", 1), ("y", 1)], [])
+    assert KoszulComplex(ring2, [parse_poly(g, ring2) for g in "xy"]).homology_dim(1, 1) == 0
+
+
 def test_koszul_homology_of_residue_field_is_exterior():
     ring = ring_with_relations(F2, [("x", 1), ("y", 1)], [])
     k = GradedModule.residue_field(ring)
@@ -83,8 +101,8 @@ _recipes = st.sampled_from([
 ])
 
 
-# odd generators over a field of odd characteristic anticommute, so the
-# order in which a^e multiplies its factors shows in the signs
+# odd generators over a field of odd characteristic anticommute and
+# square to zero; a complex takes at most one of them (see _complexes)
 _signed_recipes = st.sampled_from([
     (PrimeField(3), [("x", 1), ("y", 1), ("z", 2)], []),
     (Rationals(), [("x", 1), ("y", 1)], []),
@@ -96,9 +114,14 @@ def _complexes(draw, recipes=_recipes):
     field, gens, rels = draw(recipes)
     ring = ring_with_relations(field, gens, rels)
     nelts = draw(st.integers(1, 3))
-    elements = []
+    elements, odd_drawn = [], False
     for _ in range(nelts):
-        i = draw(st.integers(0, ring.ngens - 1))
+        # at most one odd element: two anticommuting ones make no complex
+        choices = [i for i in range(ring.ngens) if not (odd_drawn and ring.odd[i])]
+        if not choices:
+            break
+        i = draw(st.sampled_from(choices))
+        odd_drawn = odd_drawn or ring.odd[i]
         e = draw(st.integers(1, 2))
         # an odd generator squares to zero; keep it to the first power
         elements.append(ring.ppow(ring.gen_poly(i), e) or ring.gen_poly(i))

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from gradedalg import resolution
 from gradedalg.fields import PrimeField, Rationals
-from gradedalg.linalg import RowSpace, combine
+from gradedalg.linalg import RowSpace, combine, unit_vector
 from gradedalg.modules import GradedModule, PolyMatrix
 from gradedalg.parsing import parse_poly, ring_with_relations
 from gradedalg.presets import get_preset
@@ -62,6 +62,31 @@ def test_free_module_resolves_as_itself():
     res = minimal_resolution(free)
     assert res.betti.totals() == [2]
     assert res.betti.complete and res.betti.length == 0
+
+
+def test_free_module_with_a_generator_past_the_window_is_not_complete():
+    # the generator in codegree 30 lies past the window, so no Betti entry
+    # is reported there and nothing is claimed complete
+    ring = ring_with_relations(F2, [("x", 1), ("y", 1)], [])
+    res = minimal_resolution(GradedModule(ring, [0, 30]), codegree_max=24)
+    assert res.betti.entries == {(0, 0): 1}
+    assert not res.betti.complete and res.betti.length is None
+
+
+def test_free_module_generators_come_in_codegree_order():
+    ring = ring_with_relations(F2, [("x", 1)], [])
+    res = minimal_resolution(GradedModule(ring, [3, 0]))
+    assert res.frees[0].shifts == (0, 3)
+    assert res.augmentation.columns == [{1: ring.pconst(1)}, {0: ring.pconst(1)}]
+    assert res.betti.complete and res.betti.length == 0
+
+
+def test_zero_module_has_length_minus_one():
+    ring = ring_with_relations(F2, [("x", 1), ("y", 1)], [])
+    res = minimal_resolution(GradedModule(ring, [0], [[ring.pconst(1)]]))
+    assert res.betti.entries == {}
+    assert res.betti.complete and res.betti.length == -1
+    assert res.frees[0].rank == 0 and res.augmentation.columns == [] and res.diffs == []
 
 
 def test_growth_classifier_oracles():
@@ -214,22 +239,27 @@ def test_odd_generators_multiply_kernels_on_the_left():
     _assert_exact(res, 10)
 
 
-def _reference_kernel_generators(diff, source, codegree_max, image_dims):
+def _reference_kernel_generators(ambient, diff, dims, top):
     """The route before kernel dimensions came from exactness, kept as the
-    reference: the kernel basis of diff.matrix_at(n) in every codegree, and
-    products x_i * (kernel basis below) inserted until they span as much.
-    x_i * v comes from the images of b * x_i, negated where x_i and b are
-    both odd.  The kernel dimensions handed on are those of the kernel
-    bases, checked against image_dims."""
-    ring = source.ring
+    reference: in every codegree the vectors spanning K_n (the kernel
+    basis of diff.matrix_at(n), or M_n's unit vectors when diff is None),
+    and products x_i * (K below) inserted until they span as much.  Over
+    M, x_i * v comes from M's multiplication columns; over a free module,
+    from the images of b * x_i, negated where x_i and b are both odd.  The
+    spanning sets are checked against dims."""
+    ring = ambient.ring
     F = ring.field
     gens, kernels = [], {}
-    for n in range(source.min_degree(), codegree_max + 1):
-        kb = kernels[n] = diff.matrix_at(n).kernel_basis() if source.dim(n) else []
-        assert len(kb) == source.dim(n) - image_dims[n]
+    for n in range(ambient.min_degree(), top + 1):
+        if diff is None:
+            kb = [unit_vector(F, k) for k in range(ambient.dim(n))]
+        else:
+            kb = diff.matrix_at(n).kernel_basis() if ambient.dim(n) else []
+        kernels[n] = kb
+        assert len(kb) == dims[n]
         if not kb:
             continue
-        span = RowSpace(F, source.dim(n))
+        span = RowSpace(F, ambient.dim(n))
         for i in range(ring.ngens):
             if span.dim == len(kb):
                 break
@@ -237,12 +267,15 @@ def _reference_kernel_generators(diff, source, codegree_max, image_dims):
             lower = kernels.get(n - dx)
             if not lower:
                 continue
-            pairs = source.basis(n - dx)
-            cols = source.images(pairs, source.scalar_columns(ring.gen_poly(i)), n)
-            if ring.odd[i]:
-                cols = [{k: F.neg(x) for k, x in c.items()}
-                        if (n - dx - source.shifts[j]) % 2 else c
-                        for c, (j, _) in zip(cols, pairs)]
+            if diff is None:
+                cols = ambient.mult_columns(ring.gen_poly(i), n - dx)
+            else:
+                pairs = ambient.basis(n - dx)
+                cols = ambient.images(pairs, ambient.scalar_columns(ring.gen_poly(i)), n)
+                if ring.odd[i]:
+                    cols = [{k: F.neg(x) for k, x in c.items()}
+                            if (n - dx - ambient.shifts[j]) % 2 else c
+                            for c, (j, _) in zip(cols, pairs)]
             for v in lower:
                 span.insert(combine(F, cols, v))
                 if span.dim == len(kb):
@@ -251,8 +284,34 @@ def _reference_kernel_generators(diff, source, codegree_max, image_dims):
             if span.dim == len(kb):
                 break
             if span.insert(v):
-                gens.append((n, v, source.element_of(v, n)))
-    return gens, {n: len(kb) for n, kb in kernels.items()}
+                gens.append((n, v))
+    return gens
+
+
+def _minimal_generators_of_module(module, codegree_max):
+    """Degrees and representatives of a minimal generating set of M: the
+    stage-0 search before it became the kernel search's, kept as the
+    reference.  Every codegree of the window is scanned, products are M's
+    multiplication columns, and candidates M_n's unit vectors."""
+    ring = module.ring
+    gens = []  # (degree, polynomial vector in module.free slots)
+    lo = module.min_degree()
+    for n in range(lo, codegree_max + 1):
+        comp = module.component(n)
+        if comp.dim == 0:
+            continue
+        span = RowSpace(ring.field, comp.dim)
+        for i in range(ring.ngens):
+            dx = ring.codegrees[i]
+            if n - dx < lo:
+                continue
+            for col in module.mult_columns(ring.gen_poly(i), n - dx):
+                span.insert(col)
+        for k in range(comp.dim):
+            e = unit_vector(ring.field, k)
+            if span.insert(e):
+                gens.append((n, module.free.element_of(comp.lift(e), n)))
+    return gens
 
 
 def _residue_field(recipe):
@@ -260,11 +319,24 @@ def _residue_field(recipe):
     return GradedModule.residue_field(ring_with_relations(field, gens, rels))
 
 
+_any_module = st.one_of(_ring_recipes.map(lambda r: _residue_field((F2, *r))),
+                        _signed_recipes.map(_residue_field),
+                        _modules(_polynomial_recipes), _modules(_signed_recipes))
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.one_of(_ring_recipes.map(lambda r: _residue_field((F2, *r))),
-                 _signed_recipes.map(_residue_field),
-                 _modules(_polynomial_recipes), _modules(_signed_recipes)),
-       st.integers(4, 7))
+@given(_any_module, st.integers(4, 7))
+def test_stage_zero_matches_the_module_generator_search(module, cmax):
+    # M's generators are stage 0 of the kernel search: the same F_0 shifts
+    # and augmentation columns as the search that scanned the whole window
+    ref = _minimal_generators_of_module(module, cmax)
+    res = minimal_resolution(module, h_max=0, codegree_max=cmax)
+    assert res.frees[0].shifts == tuple(d for d, _ in ref)
+    assert res.augmentation.columns == [vec for _, vec in ref]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_any_module, st.integers(4, 7))
 def test_kernel_dimensions_from_exactness_match_the_rank_route(module, cmax):
     # the same generators against the same spans: every Betti entry and
     # every differential column agree, and a differential's matrix is
@@ -277,14 +349,13 @@ def test_kernel_dimensions_from_exactness_match_the_rank_route(module, cmax):
             return matrix_at(self, n)
         return wrapped
 
-    with mock.patch.object(PolyMatrix, "matrix_at", spy(PolyMatrix.matrix_at)), \
-            mock.patch.object(resolution._MapToModule, "matrix_at",
-                              spy(resolution._MapToModule.matrix_at)):
+    with mock.patch.object(PolyMatrix, "matrix_at", spy(PolyMatrix.matrix_at)):
         res = minimal_resolution(module, h_max=4, codegree_max=cmax)
     with mock.patch.object(resolution, "_kernel_generators", _reference_kernel_generators):
         ref = minimal_resolution(module, h_max=4, codegree_max=cmax)
     assert res.betti.entries == ref.betti.entries
     assert (res.betti.complete, res.betti.length) == (ref.betti.complete, ref.betti.length)
+    assert res.augmentation.columns == ref.augmentation.columns
     assert [d.columns for d in res.diffs] == [d.columns for d in ref.diffs]
     stage = {id(d): i + 1 for i, d in enumerate([res.augmentation, *res.diffs])}
     assert {(stage[k], n) for k, n in calls} == {(i, n) for i, n in res.betti.entries if i}
