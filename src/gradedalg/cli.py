@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from fractions import Fraction
 
 from .fields import FieldSpec, FieldError
@@ -97,6 +98,26 @@ def _load_module(path):
     return GradedModule(ring, data.get("gen_shifts", [0]), cols)
 
 
+def _module_over(ring, path):
+    """The module of a --module file, which must be over RING: the same
+    field, generators (names and codegrees) and relations."""
+    module = _load_module(path)
+    other = module.ring
+    differ = [what for what, mine, given in (
+        ("field", other.field, ring.field),
+        ("generators", other.gens, ring.gens),
+        ("relations", _relation_counts(other), _relation_counts(ring))) if mine != given]
+    if differ:
+        raise InputError(f"the module's ring {other!r} is not RING {ring!r}: "
+                         f"the {' and '.join(differ)} differ")
+    return module
+
+
+def _relation_counts(ring):
+    """The ring's relations as a multiset, in any order."""
+    return Counter(frozenset(rel.items()) for rel in ring.relations)
+
+
 def _parse_window(text):
     lo, sep, hi = text.partition("..")
     if not sep:
@@ -167,7 +188,7 @@ def _cmd_functional_eq(args):
 
 def _cmd_localcoh(args):
     ring = _load_ring(args.ring)
-    module = _load_module(args.module) if args.module else GradedModule.ring_as_module(ring)
+    module = _module_over(ring, args.module) if args.module else GradedModule.ring_as_module(ring)
     elements = _parse_ideal(args.ideal, module.ring)
     window = _parse_window(args.window)
     report = {"command": "localcoh", "method": args.method, "lines": []}
@@ -201,8 +222,8 @@ def _cmd_localcoh(args):
 
 def _cmd_koszul(args):
     ring = _load_ring(args.ring)
-    module = _load_module(args.module) if args.module else GradedModule.ring_as_module(ring)
-    # the module file names its own ring; the elements act on it
+    module = _module_over(ring, args.module) if args.module else GradedModule.ring_as_module(ring)
+    # the module file builds its own copy of RING; the elements act on it
     elements = _parse_ideal(args.elements, module.ring)
     verdict, detail = is_regular_sequence(module.ring, elements,
                                           codegree_max=args.codegree_max,
@@ -215,7 +236,7 @@ def _cmd_koszul(args):
 
 def _cmd_resolution(args):
     ring = _load_ring(args.ring)
-    module = _load_module(args.module) if args.module else GradedModule.residue_field(ring)
+    module = _module_over(ring, args.module) if args.module else GradedModule.residue_field(ring)
     res = minimal_resolution(module, h_max=args.hmax, codegree_max=args.codegree_max)
     totals = res.betti.totals()
     report = {"command": "resolution", "betti": totals,

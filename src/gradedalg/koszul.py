@@ -10,10 +10,12 @@ n + sum_{j in S} s_j |a_j|.  The differential adds one index l to S and
 multiplies by a_l^(s_l) with sign (-1)^(number of indices of S below l).
 Raising the levels multiplies summand S by the gap powers; the Cech
 complex of localcoh is the colimit of these transitions.  Every map is
-kept as its columns in the field's vector format, the images of the
-source basis that multiplication computes (GradedModule.mult_columns),
-shifted to the offsets of their target summands; ranks come from
-eliminating those columns, so no map is ever turned into rows.
+kept as its columns in the field's vector format, shifted to the offsets
+of their target summands.  Each block of columns is one call of
+GradedModule.mult_columns, which multiplies the power into the whole
+source basis of each slot in one batch (rings.RingComponent.products);
+ranks come from eliminating those columns, so no map is ever turned into
+rows.
 
 The Koszul chain complex has K_i = sum_{|S| = i} M(-sum_{j in S} |a_j|)
 and a differential that removes one index.  It is self-dual: chain degree

@@ -424,6 +424,8 @@ class RowSpace:
 
     def pivots_below(self, c):
         """How many pivot columns are below column c."""
+        if self.packed:
+            return (self._pivot_bits & ((1 << c) - 1)).bit_count()
         return sum(p < c for p in self._rows)
 
     def contains(self, vec):

@@ -16,6 +16,9 @@ modules the list of its columns, so a map costs its nonzero entries.
 
 from __future__ import annotations
 
+from itertools import groupby
+from operator import itemgetter, or_
+
 from .linalg import Matrix, RowSpace, bits
 from .rings import GradedRing, PresentationError
 
@@ -77,33 +80,36 @@ class FreeModule:
 
         columns[j] is a homogeneous polynomial vector {slot: poly} of this
         module, so the monomials paired with j share one codegree.  Each
-        (polynomial, codegree) table is made once per call and computes
-        only the products looked up; a generator's comes from the ring.
+        run of pairs with one j goes to RingComponent.products once per
+        slot polynomial, batched over the run's monomials, and the slots'
+        coordinates are placed at their offsets.
         """
         ring = self.ring
         offsets = self.offsets(n)
         packed = ring.field.packed
-        tables = {}   # (id of polynomial, codegree) -> times_table
-        parts = {}    # j -> [(slot offset, table)]
         out = []
-        for j, mono in pairs:
-            if j not in parts:
-                parts[j] = []
-                a = ring.mono_codegree(mono)
-                for i, p in columns[j].items():
-                    if (id(p), a) not in tables:
-                        tables[id(p), a] = ring.times_table(p, a)
-                    parts[j].append((offsets[i], tables[id(p), a]))
-            if packed:
-                v = 0
-                for off, table in parts[j]:
-                    v |= table[mono] << off
-            else:
-                v = {}
-                for off, table in parts[j]:
-                    for k, x in table[mono].items():
-                        v[off + k] = x
-            out.append(v)
+        for j, run in groupby(pairs, itemgetter(0)):
+            monos = [mono for _, mono in run]
+            cols = None
+            for i, p in columns[j].items():
+                target = ring.component(n - self.shifts[i])
+                part = target.products(monos, target.terms(p))
+                off = offsets[i]
+                if packed:
+                    if off:
+                        part = [v << off for v in part]
+                    cols = part if cols is None else list(map(or_, cols, part))
+                else:
+                    if off:
+                        part = [{off + k: x for k, x in v.items()} for v in part]
+                    if cols is None:
+                        cols = part
+                    else:
+                        for v, w in zip(cols, part):
+                            v.update(w)
+            if cols is None:  # a zero column
+                cols = [0] * len(monos) if packed else [{} for _ in monos]
+            out.extend(cols)
         return out
 
     def scalar_columns(self, poly):
@@ -267,8 +273,7 @@ class GradedModule:
     def images(self, pairs, columns, n):
         """FreeModule.images on the generators' slots, in M's quotient
         coordinates at codegree n."""
-        comp = self.component(n)
-        return [comp.reduce(v) for v in self.free.images(pairs, columns, n)]
+        return self.component(n).reduce_all(self.free.images(pairs, columns, n))
 
     def element_of(self, coords, n):
         """A polynomial vector {slot: poly} representing quotient
@@ -278,7 +283,9 @@ class GradedModule:
     def mult_columns(self, poly, n):
         """Multiplication by a homogeneous polynomial, M^n -> M^(n+|poly|),
         as its columns: the image of each basis vector of M^n in the
-        quotient coordinates of M^(n+|poly|), in the field's format."""
+        quotient coordinates of M^(n+|poly|), in the field's format.  The
+        basis vectors of each slot are multiplied in one batch (see
+        images)."""
         return self.images(self.component(n).basis, self.free.scalar_columns(poly),
                            n + self.ring.poly_codegree(poly))
 
@@ -303,6 +310,13 @@ class ModuleComponent:
     def reduce(self, free_coords):
         """Free-module coordinates -> module quotient coordinates."""
         return self._span.quotient_coords(free_coords)
+
+    def reduce_all(self, cols):
+        """reduce on each of a list of free-module vectors in the field's
+        format; with no relation here they are their own coordinates."""
+        if not self._span.dim:
+            return cols
+        return list(map(self._span.quotient_coords, cols))
 
     def lift(self, coords):
         """Quotient coordinates -> a representative in free coordinates,

@@ -18,15 +18,19 @@ row m * f enters RowSpace already packed, one bit per column.  Rings with
 odd-signed generators multiply exponent tuples with mono_times_poly, which
 tracks signs and odd squares.
 
-Coordinates in a component's basis (RingComponent.coords, reduce_poly
-and the times-table entries) are vectors in the field's format (see
-linalg): over GF(2) packed ints, bit k for basis position k; over every
-other field sparse {position: value} dicts.
+RingComponent.columns is the one product route: a polynomial p times a
+batch of monomials b, as the columns of each b * p.  It gives the
+Macaulay rows, and through RingComponent.products, which reduces them
+where relations reach, the coordinates of module images, multiplication
+columns, reduce_poly and the times-table entries.  Coordinates in a
+component's basis are vectors in the field's format (see linalg): over
+GF(2) packed ints, bit k for basis position k; over every other field
+sparse {position: value} dicts.
 """
 
 from __future__ import annotations
 
-from operator import add
+from operator import add, mul
 
 from .linalg import RowSpace
 
@@ -119,7 +123,7 @@ class GradedRing:
         return {m: F.mul(c, v) for m, v in p.items()}
 
     def mono_codegree(self, mono):
-        return sum(e * d for e, d in zip(mono, self.codegrees))
+        return sum(map(mul, mono, self.codegrees))
 
     def mono_mul(self, m1, m2):
         """Product of monomials: (sign, monomial) or (0, None) if it dies."""
@@ -248,11 +252,15 @@ class GradedRing:
 
     def times_table(self, p, a):
         """{b: coordinates in R_(a+|p|) of b * p} for the basis monomials b
-        of R_a, each entry computed on its first lookup.
+        of R_a, each entry computed on its first lookup by
+        RingComponent.products, for callers that read single products
+        (resolution._GeneratorProducts reads the generators' tables).
+        Batches of products, such as FreeModule.images, call products
+        directly.
 
         b multiplies on the left, which fixes the signs of odd generators.
-        Only the tables of the generators are kept here: every free module,
-        resolution stage and module over the ring reuses them.
+        Only the tables of the generators are kept here, for every
+        resolution stage over the ring to reuse.
         """
         gen = self._generator_of(p)
         if gen is not None:
@@ -303,8 +311,7 @@ class _TimesTable(dict):
         self.target, self.terms = target, target.terms(p)
 
     def __missing__(self, b):
-        target = self.target
-        coords = self[b] = target.coords(target.key(b), self.terms)
+        coords = self[b] = self.target.products([b], self.terms)[0]
         return coords
 
 
@@ -329,9 +336,7 @@ class RingComponent:
             d = ring.mono_codegree(next(iter(rel)))
             if d > n:
                 continue
-            terms = self.terms(rel)
-            for b in self.keys(n - d):
-                row = self.product(b, terms)
+            for row in self.columns(self.keys(n - d), self.terms(rel)):
                 if row:
                     span.insert(row)
         self.basis = [self.monomials_all[c] for c in span.nonpivot_columns()]
@@ -352,41 +357,61 @@ class RingComponent:
             return self.ring.monomials(a)
         return self.ring.codes(a, self._width)
 
-    def key(self, mono):
-        return mono if self._width is None else self.ring.code(mono, self._width)
+    def keys_of(self, monos):
+        """The keys here of a list of monomials (exponent tuples)."""
+        if self._width is None:
+            return monos
+        code, w = self.ring.code, self._width
+        return [code(m, w) for m in monos]
 
     def terms(self, p):
-        """p as product() takes it: itself in a signed ring, else the keys
-        of its monomials and their coefficients."""
+        """p as columns() and products() take it: itself in a signed ring,
+        else the keys of its monomials and their coefficients."""
         if self._width is None:
             return p
-        return [self.key(m) for m in p], list(p.values())
+        return self.keys_of(p), list(p.values())
 
-    def product(self, b, terms):
-        """The columns of b * p here, b a key and p given by its terms: over
-        GF(2) an int with one bit per column, else a {column: value} dict.
+    def columns(self, bs, terms):
+        """The columns of b * p here for each key b in bs, p given by its
+        terms: over GF(2) ints with one bit per column, else {column:
+        value} dicts.
 
         b * p lies in codegree n.  In a coded ring no two terms meet, as
-        multiplying by a monomial is injective, so the bits simply add.
+        multiplying by a monomial is injective, so over GF(2) the bits
+        are ORed in, one add, lookup and shift per term of p.
         """
         index = self.index
         if self._width is None:
-            return {index[m]: c for m, c in self.ring.mono_times_poly(b, terms).items()}
+            times = self.ring.mono_times_poly
+            return [{index[m]: c for m, c in times(b, terms).items()} for b in bs]
         keys, coeffs = terms
-        cols = map(index.__getitem__, map(b.__add__, keys))
-        if self._span.packed:
-            return sum(map((1).__lshift__, cols))
-        return dict(zip(cols, coeffs))
+        if not self._span.packed:
+            return [dict(zip(map(index.__getitem__, map(b.__add__, keys)), coeffs))
+                    for b in bs]
+        out = []
+        for b in bs:
+            v = 0
+            for k in keys:
+                v |= 1 << index[b + k]
+            out.append(v)
+        return out
 
-    def coords(self, b, terms):
-        """Coordinates of b * p in the basis (see product)."""
-        return self._span.quotient_coords(self.product(b, terms))
+    def products(self, monos, terms):
+        """The coordinates in the basis of b * p for each monomial b in
+        monos (exponent tuples of one codegree), p given by its terms: the
+        batched product kernel.  Where no relation reaches codegree n the
+        columns are the coordinates; otherwise each product is reduced.
+        """
+        cols = self.columns(self.keys_of(monos), terms)
+        if not self._span.dim:
+            return cols
+        return list(map(self._span.quotient_coords, cols))
 
     def reduce_poly(self, p):
         """Coordinates in the basis of a codegree-n polynomial."""
         if p and self.ring.poly_codegree(p) != self.n:
             raise PresentationError(f"polynomial is not of codegree {self.n}")
-        return self.coords(self.key((0,) * self.ring.ngens), self.terms(p))
+        return self.products([(0,) * self.ring.ngens], self.terms(p))[0]
 
 
 def polynomial_ring(field, names_degrees):

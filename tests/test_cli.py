@@ -193,3 +193,46 @@ def test_extension_degree_over_the_rationals_is_a_usage_error(ring_file, capsys)
     ring = {"char": 0, "field_degree": 2, "vars": [{"name": "x", "codegree": 1}]}
     assert run_cli(["hilbert", ring_file(ring), "--nmax", "2"]) == 2
     assert "characteristic 0" in capsys.readouterr().err
+
+
+RING_GF3_X = {"char": 3, "vars": [{"name": "x", "codegree": 2}], "relations": []}
+MODULE_KXY = {"ring": RING_KXY, "gen_shifts": [0], "rel_columns": [["x"], ["y"]]}
+MODULE_ARGS = {
+    "localcoh": ["--ideal", "x", "--window=-2..0"],
+    "koszul": ["--elements", "x"],
+    "resolution": [],
+}
+
+
+@pytest.mark.parametrize("command", ["localcoh", "koszul", "resolution"])
+def test_a_module_over_another_ring_than_ring_is_a_usage_error(ring_file, capsys, command):
+    # RING = GF(3)[x] with |x| = 2, the module over GF(2)[x, y]: both
+    # rings are named, and nothing is computed over either
+    module = ring_file(MODULE_KXY, "module.json")
+    args = [command, ring_file(RING_GF3_X), "--module", module, *MODULE_ARGS[command]]
+    assert run_cli(args) == 2
+    err = capsys.readouterr().err
+    assert "GF(3); x[2]" in err and "GF(2); x[1], y[1]" in err
+    assert "field and generators differ" in err
+
+
+@pytest.mark.parametrize("command", ["localcoh", "koszul", "resolution"])
+def test_a_module_ring_must_match_in_codegrees_and_relations(ring_file, capsys, command):
+    module = ring_file(MODULE_KXY, "module.json")
+    tail = ["--module", module, *MODULE_ARGS[command]]
+    shifted = {"char": 2, "vars": [{"name": "x", "codegree": 1},
+                                   {"name": "y", "codegree": 2}]}
+    assert run_cli([command, ring_file(shifted), *tail]) == 2
+    assert "the generators differ" in capsys.readouterr().err
+    assert run_cli([command, ring_file(dict(RING_KXY, relations=["x*y"])), *tail]) == 2
+    assert "the relations differ" in capsys.readouterr().err
+
+
+def test_a_module_ring_may_list_its_relations_in_any_order(ring_file, capsys):
+    # the module is R = k[x,y]/(x^2, y^3) itself, free of rank 1
+    ring = dict(RING_KXY, relations=["x^2", "y^3"])
+    module = ring_file({"ring": dict(RING_KXY, relations=["y^3", "x^2"]),
+                        "gen_shifts": [0], "rel_columns": []}, "module.json")
+    assert run_cli(["resolution", ring_file(ring), "--module", module, "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["betti"] == [1] and data["complete"]

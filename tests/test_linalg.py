@@ -246,6 +246,27 @@ def test_rowspace_matches_dense_elimination(form, case):
 
 @settings(max_examples=200, deadline=None)
 @given(_eliminations)
+def test_pivot_counts_agree_in_both_vector_formats(case):
+    # over GF(2) pivots_below reads the pivot bit mask, over every other
+    # field it counts the dict rows' pivots; a GF(2) made to keep dict
+    # rows spans the same space, so both counts must agree with the
+    # pivots of the dense reduced form at every column
+    F, ncols, rows, _ = case
+    spaces = [RowSpace(F, ncols)]
+    if F is F2:
+        dict_f2 = PrimeField(2)
+        dict_f2.packed = False
+        spaces.append(RowSpace(dict_f2, ncols))
+    pivots = _dense_rref(F, rows, ncols)[1]
+    expected = [sum(p < c for p in pivots) for c in range(ncols + 2)]
+    for rs in spaces:
+        for row in rows:
+            rs.insert(row)
+        assert [rs.pivots_below(c) for c in range(ncols + 2)] == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(_eliminations)
 def test_matrix_matches_dense_elimination(case):
     F, ncols, rows, probes = case
     m = Matrix(F, rows, ncols)

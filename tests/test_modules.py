@@ -1,11 +1,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gradedalg.fields import PrimeField, Rationals
+from gradedalg.fields import ExtensionField, PrimeField, Rationals
 from gradedalg.linalg import Matrix, bits
 from gradedalg.modules import FreeModule, PolyMatrix, GradedModule
-from gradedalg.parsing import parse_poly
+from gradedalg.parsing import parse_poly, ring_with_relations
 from gradedalg.rings import GradedRing, PresentationError
+from test_koszul import _recipes, _signed_recipes
+from test_rings import _mono_times_poly_reference, _reference_component
 
 
 @pytest.fixture
@@ -292,3 +294,121 @@ def test_composite_induces_the_product_of_the_induced_maps():
     f = PolyMatrix(r0, r1, [{0: ring.gen_poly(0)}])
     g = PolyMatrix(r1, r2, [{0: ring.gen_poly(1)}])
     assert f.compose(g).matrix_at(2) == f.matrix_at(2).mul(g.matrix_at(2))
+
+
+# -- the batched product kernel against the per-pair loop it replaced -------
+
+class _ReferenceTable(dict):
+    """b -> coordinates in R_(a+|p|) of b * p by the tuple route of
+    test_rings (reference Macaulay rows, reference monomial products),
+    filled on lookup."""
+
+    def __init__(self, ring, p, a):
+        super().__init__()
+        self.ring, self.p = ring, p
+        self.reduce = _reference_component(ring, a + ring.poly_codegree(p))[1]
+
+    def __missing__(self, b):
+        coords = self[b] = self.reduce(_mono_times_poly_reference(self.ring, b, self.p))
+        return coords
+
+
+def _per_pair_images(free, pairs, columns, n):
+    """The FreeModule.images loop that RingComponent.products replaced, kept
+    as the reference: one table per (polynomial, codegree) and call, one
+    lookup per pair and slot, each ORed or merged in at its slot's offset."""
+    ring = free.ring
+    offsets = free.offsets(n)
+    packed = ring.field.packed
+    tables = {}   # (id of polynomial, codegree) -> _ReferenceTable
+    parts = {}    # j -> [(slot offset, table)]
+    out = []
+    for j, mono in pairs:
+        if j not in parts:
+            parts[j] = []
+            a = ring.mono_codegree(mono)
+            for i, p in columns[j].items():
+                if (id(p), a) not in tables:
+                    tables[id(p), a] = _ReferenceTable(ring, p, a)
+                parts[j].append((offsets[i], tables[id(p), a]))
+        if packed:
+            v = 0
+            for off, table in parts[j]:
+                v |= table[mono] << off
+        else:
+            v = {}
+            for off, table in parts[j]:
+                for k, x in table[mono].items():
+                    v[off + k] = x
+        out.append(v)
+    return out
+
+
+GF4 = ExtensionField(2, 2)
+_kernel_recipes = st.one_of(_recipes, _signed_recipes, st.sampled_from([
+    (GF4, [("x", 1), ("y", 1)], ["x*y"]),
+    (GF4, [("x", 1), ("y", 2)], []),
+]))
+
+
+def _scalar_poly(draw, ring, d, max_terms=3):
+    """A polynomial of codegree d with coefficients from the whole field
+    (GF(4)'s generator included), nonzero when codegree d has monomials."""
+    monos = ring.monomials(d)
+    if not monos:
+        return {}
+    field = ring.field
+    scalars = (field.elements()[1:] if field.char
+               else [field.from_int(k) for k in (1, -1, 2, -3)])
+    chosen = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=max_terms, unique=True))
+    return {m: draw(st.sampled_from(scalars)) for m in chosen}
+
+
+@st.composite
+def _kernel_cases(draw):
+    """A module M over a ring of the Koszul recipes (GF(2), QQ, GF(3),
+    odd generators over GF(3) and QQ) or over GF(4): one to three
+    generators whose shifts may repeat and up to two relation columns.
+    Also a source free module, its shifts repeating too, with columns
+    into M's generators (zero ones among them), and a polynomial p."""
+    field, gens, rels = draw(_kernel_recipes)
+    ring = ring_with_relations(field, gens, rels)
+    shifts = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))
+    relation_columns = []
+    for _ in range(draw(st.integers(0, 2))):
+        d = draw(st.integers(max(shifts), max(shifts) + 3))
+        relation_columns.append([_scalar_poly(draw, ring, d - s) for s in shifts])
+    module = GradedModule(ring, shifts, relation_columns)
+    source = FreeModule(ring, draw(st.lists(st.integers(0, 4), min_size=1, max_size=3)))
+    columns = []
+    for t in source.shifts:
+        column = {i: _scalar_poly(draw, ring, t - s) for i, s in enumerate(shifts)
+                  if draw(st.booleans())}
+        columns.append({i: q for i, q in column.items() if q})
+    p = _scalar_poly(draw, ring, draw(st.integers(1, 3)))
+    return module, source, columns, p
+
+
+@settings(max_examples=200, deadline=None)
+@given(_kernel_cases(), st.data())
+def test_batched_images_match_the_per_pair_loop(case, data):
+    module, source, columns, p = case
+    free, ring = module.free, module.ring
+    for n in range(0, 7):
+        pairs = source.basis(n)
+        # the basis in order, and pairs in any order with repeats, so that
+        # runs of one column are split and interleaved
+        shuffled = data.draw(st.lists(st.sampled_from(pairs), max_size=10)) if pairs else []
+        comp = module.component(n)
+        for ps in (pairs, shuffled):
+            reference = _per_pair_images(free, ps, columns, n)
+            assert free.images(ps, columns, n) == reference
+            assert module.images(ps, columns, n) == [comp.reduce(v) for v in reference]
+    if not p:
+        return
+    d = ring.poly_codegree(p)
+    for m in range(-1, 5):
+        reference = _per_pair_images(free, module.component(m).basis,
+                                     free.scalar_columns(p), m + d)
+        target = module.component(m + d)
+        assert module.mult_columns(p, m) == [target.reduce(v) for v in reference]
