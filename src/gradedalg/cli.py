@@ -260,13 +260,10 @@ def _cmd_hypersurface(args):
         raise InputError("the ambient ring of a hypersurface must have no relations")
     f = parse_poly(args.f, ring)
     h = HypersurfaceData(ring, f)
-    if args.module:
-        module = _load_module(args.module)
-    elif args.mf:
-        # a matrix factorization wants a module over the ambient ring
-        module = GradedModule.residue_field(ring)
-    else:
-        module = GradedModule.residue_field(h.quotient)
+    # a matrix factorization resolves over the ambient ring, the
+    # periodicity check over the quotient
+    base = ring if args.mf else h.quotient
+    module = _module_over(base, args.module) if args.module else GradedModule.residue_field(base)
     report = {"command": "hypersurface", "lines": []}
     failed = False
     if args.mf:
@@ -391,7 +388,8 @@ def build_parser():
     sp = sub.add_parser("hypersurface", help="periodicity and matrix factorizations")
     sp.add_argument("ring", help="ambient ring without relations")
     sp.add_argument("--f", required=True, help="the hypersurface equation")
-    sp.add_argument("--module", help="defaults to the residue field of the quotient")
+    sp.add_argument("--module", help="a module over the quotient, or with --mf over the "
+                    "ambient ring; defaults to the residue field of that ring")
     sp.add_argument("--hmax", type=int, default=12)
     sp.add_argument("--codegree-max", type=int, default=44)
     sp.add_argument("--mf", action="store_true",

@@ -5,6 +5,12 @@ The radical of kG is kG times the augmentation ideal of the Sylow
 subgroup; the semisimple quotient is the group algebra of the p'
 quotient, whose characters give the principal indecomposables by
 idempotent lifting.
+
+Spans, restrictions, coradical steps and module-map checks act through
+the group's generators only (GroupTable.generators, computed once per
+GroupAlgebra), as the Meat-Axe spins a vector: in a finite group every
+element is a positive word in the generators, so whatever each
+generator preserves or commutes with, every element does.
 """
 
 from __future__ import annotations
@@ -29,6 +35,8 @@ class GroupAlgebra:
         self.group = group
         self.field = field
         self.n = group.n
+        # the generating set every module loop acts through
+        self.generators = group.generators()
         self._pims = None  # principal_indecomposables, built on first use
 
     def zero(self):
@@ -192,7 +200,7 @@ class GroupModule:
         ident = Matrix.identity(self.field, self.dim)
         if self.mats[G.identity] != ident:
             raise RepresentationError("identity must act as the identity matrix")
-        for s in G.generators():
+        for s in self.algebra.generators:
             for h in range(G.n):
                 if self.mats[s].mul(self.mats[h]) != self.mats[G.table[s][h]]:
                     raise RepresentationError("action matrices violate the group table")
@@ -221,7 +229,13 @@ class GroupModule:
 
     def submodule_span(self, vectors):
         """Basis of the smallest submodule containing the vectors (lists or
-        vectors in the field's format, as they come)."""
+        vectors in the field's format, as they come).
+
+        The span is closed under the generators only: every group element
+        is a positive word in them, so a space each generator maps into
+        itself is a submodule.
+        """
+        gens = [self.mats[s] for s in self.algebra.generators]
         span = RowSpace(self.field, self.dim)
         basis = []
         queue = list(vectors)
@@ -230,29 +244,42 @@ class GroupModule:
             if not span.insert(v):
                 continue
             basis.append(v)
-            for g in range(self.algebra.n):
-                queue.append(self.mats[g].apply(v))
+            queue.extend(m.apply(v) for m in gens)
         return basis
 
     def restrict_to(self, basis):
-        """The submodule spanned by `basis` as a module in its own right.
+        """The submodule spanned by the independent vectors `basis` as a
+        module in its own right, with its inclusion matrix.
 
-        incl is eliminated once, by its first solve; every image is then
-        solved against that elimination.
+        Only the generators' images are solved against incl, which is
+        eliminated once, by its first solve: a space the generators keep
+        is a submodule, so their solvability alone decides whether basis
+        spans one.  The other matrices are products along the group
+        table, M'_(sh) = M'_s M'_h, reached from the identity.
         """
         if not basis:
             return GroupModule.zero(self.algebra), Matrix(self.field, [], ncols=0)
-        incl = Matrix.from_columns(self.field, basis, self.dim)
-        mats = []
-        for g in range(self.algebra.n):
+        F = self.field
+        G = self.algebra.group
+        incl = Matrix.from_columns(F, basis, self.dim)
+        gen_mats = []
+        for s in self.algebra.generators:
             cols = []
             for b in basis:
-                img = self.mats[g].apply(b)
-                coords = incl.solve(img)
+                coords = incl.solve(self.mats[s].apply(b))
                 if coords is None:
                     raise RepresentationError("basis does not span a submodule")
                 cols.append(coords)
-            mats.append(Matrix.from_columns(self.field, cols, len(basis)))
+            gen_mats.append((s, Matrix.from_columns(F, cols, len(basis))))
+        mats = [None] * G.n
+        mats[G.identity] = Matrix.identity(F, len(basis))
+        queue = [G.identity]
+        for h in queue:
+            for s, m in gen_mats:
+                sh = G.table[s][h]
+                if mats[sh] is None:
+                    mats[sh] = m.mul(mats[h])
+                    queue.append(sh)
         return GroupModule(self.algebra, mats, check=False), incl
 
     def radical_submodule(self):
@@ -295,7 +322,11 @@ def principal_indecomposables(algebra: GroupAlgebra):
 
 
 def projective_cover(module: GroupModule):
-    """(P, surjection matrix P -> M) with P a sum of PIMs matching the head."""
+    """(P, surjection matrix P -> M) with P a sum of PIMs matching the head.
+
+    The module-map property is checked on the generators: if the map
+    commutes with s and with w, it commutes with s*w.
+    """
     algebra = module.algebra
     F = module.field
     if module.dim == 0:
@@ -331,8 +362,8 @@ def projective_cover(module: GroupModule):
     # surjectivity, module-map property, and minimality
     if surj.rank() != module.dim:
         raise RepresentationError("cover map is not surjective")
-    for g in range(algebra.n):
-        if module.mats[g].mul(surj) != surj.mul(P.mats[g]):
+    for s in algebra.generators:
+        if module.mats[s].mul(surj) != surj.mul(P.mats[s]):
             raise RepresentationError("cover map is not a module map")
     P_rad = RowSpace(F, P.dim)
     for v in P.radical_submodule():
@@ -343,22 +374,24 @@ def projective_cover(module: GroupModule):
     return P, surj
 
 
-def k_coradical_tower(module: GroupModule, ambient_basis=None):
+def k_coradical_tower(module: GroupModule):
     """Smallest submodule with quotient an iterated extension of k.
 
-    U(Y) is spanned by g*y - y; iterate until stable.  Returns the basis
-    of the stable submodule inside `module`.
+    U(Y) = I(G)Y is spanned by s*y - y for the generators s: since
+    (s*w - 1)y = (s - 1)(w*y) + (w - 1)y and Y is a submodule, induction
+    on the word length of g gives every (g - 1)y.  Iterate until stable.
+    Returns the basis of the stable submodule inside `module`.
     """
     F = module.field
-    current = None  # None means the whole module
     dim_prev = module.dim
+    gens = [module.mats[s] for s in module.algebra.generators]
 
     def u_of(basis_vectors):
         vecs = []
         for v in basis_vectors:
-            for g in range(module.algebra.n):
-                gv = module.mats[g].apply(v)
-                vecs.append([F.sub(x, y) for x, y in zip(gv, v)])
+            for m in gens:
+                sv = m.apply(v)
+                vecs.append([F.sub(x, y) for x, y in zip(sv, v)])
         span = RowSpace(F, module.dim)
         return [w for w in vecs if span.insert(w)]
 

@@ -62,7 +62,7 @@ class GradedRing:
         self._suffix_cache = {}  # (generator index, codegree) -> monomial suffixes
         self._code_cache = {}    # (generator index, codegree, field width) -> codes
         self._component_cache = {}
-        self._generator_tables = {}  # (generator, codegree) -> times_table
+        self._generator_tables = {}  # (generator, codegree) -> _TimesTable
         self.relations = []
         for rel in (relations or []):
             rel = self._validated_poly(rel)
@@ -250,38 +250,22 @@ class GradedRing:
             self._component_cache[n] = RingComponent(self, n)
         return self._component_cache[n]
 
-    def times_table(self, p, a):
-        """{b: coordinates in R_(a+|p|) of b * p} for the basis monomials b
-        of R_a, each entry computed on its first lookup by
+    def generator_table(self, i, a):
+        """{b: coordinates in R_(a+|x_i|) of b * x_i} for the basis
+        monomials b of R_a, each entry computed on its first lookup by
         RingComponent.products, for callers that read single products
-        (resolution._GeneratorProducts reads the generators' tables).
-        Batches of products, such as FreeModule.images, call products
-        directly.
+        (resolution._GeneratorProducts).  Batches of products, such as
+        FreeModule.images, call products directly.
 
         b multiplies on the left, which fixes the signs of odd generators.
-        Only the tables of the generators are kept here, for every
-        resolution stage over the ring to reuse.
+        The table is made once and kept on the ring, for every resolution
+        stage over it to reuse.
         """
-        gen = self._generator_of(p)
-        if gen is not None:
-            return self.generator_table(gen, a)
-        return _TimesTable(p, self.component(a + self.poly_codegree(p)))
-
-    def generator_table(self, i, a):
-        """times_table of the generator x_i at codegree a, made once."""
         table = self._generator_tables.get((i, a))
         if table is None:
             table = self._generator_tables[i, a] = _TimesTable(
                 self.gen_poly(i), self.component(a + self.codegrees[i]))
         return table
-
-    def _generator_of(self, p):
-        """The index i when p is the generator x_i itself, else None."""
-        if len(p) == 1:
-            (mono, c), = p.items()
-            if sum(mono) == 1 and c == self.field.one():
-                return mono.index(1)
-        return None
 
     def dim(self, n):
         return self.component(n).dim
@@ -302,7 +286,7 @@ class GradedRing:
 
 
 class _TimesTable(dict):
-    """GradedRing.times_table: b -> coordinates of b * p, filled on lookup."""
+    """GradedRing.generator_table: b -> coordinates of b * x_i, filled on lookup."""
 
     __slots__ = ("target", "terms")
 

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import os
 
 import pytest
@@ -78,3 +79,54 @@ def test_each_preset_is_timed_after_a_full_collection(tmp_path):
         "        junk.append(cycle)\n")
     seconds = bench_record.preset_seconds(str(tmp_path))
     assert sorted(seconds) == ["a", "b", "c"]
+
+
+def _fake_checkout(tmp_path, script):
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text(script)
+    return str(tmp_path)
+
+
+def test_a_failed_run_names_its_checkout_workload_seed_exit_code_and_stderr(tmp_path):
+    checkout = _fake_checkout(tmp_path, (
+        "import sys\n"
+        "for i in range(25):\n"
+        "    print(f'trace line {i}', file=sys.stderr)\n"
+        "sys.exit(1)\n"))
+    with pytest.raises(bench_record.RunFailed) as err:
+        bench_record.bench_run(checkout, "squeezed-groups", 13, 40)
+    message = str(err.value)
+    assert checkout in message and "squeezed-groups" in message and "seed 13" in message
+    assert "exited 1" in message
+    lines = message.splitlines()
+    assert lines[-bench_record.STDERR_TAIL:] == [f"trace line {i}" for i in range(5, 25)]
+    assert "trace line 4" not in message
+
+
+def test_the_recording_stops_at_the_first_failed_run(tmp_path, capsys):
+    checkout = _fake_checkout(tmp_path, "import sys\nprint('boom', file=sys.stderr)\n"
+                                        "sys.exit(3)\n")
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 1, "workloads": [{"name": "w"}],
+        "end_to_end": [{"name": "wall_s", "bound": 0.25}]}))
+    out = tmp_path / "BENCH.json"
+    assert bench_record.main(["--parent", checkout, "--change", checkout,
+                              "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "workload w, seed 1, exited 3" in err and "boom" in err
+    assert not out.exists()
+
+
+def test_each_run_keeps_its_unscaled_pass_median(tmp_path):
+    checkout = _fake_checkout(tmp_path, (
+        "import json, sys\n"
+        "print('workload w, seed 1: 812 untraced passes of 0.043 s unscaled, '\n"
+        "      '1624 operations, 0 failed', file=sys.stderr)\n"
+        "print(json.dumps({'attempted': 1, 'failed': 0, 'metrics': "
+        "{'wall_s': {'value': 0.03, 'unit': 's'}}}))\n"))
+    run = bench_record.bench_run(checkout, "w", 1, 40)
+    assert run["unscaled_pass_s"] == 0.043
+    assert run["metrics"]["wall_s"]["value"] == 0.03
+    side = bench_record.summarize_side([run, dict(run, unscaled_pass_s=0.045)])
+    assert side["unscaled_pass_s"]["runs"] == [0.043, 0.045]
+    assert side["unscaled_pass_s"]["median"] == pytest.approx(0.044)

@@ -228,6 +228,45 @@ def test_a_module_ring_must_match_in_codegrees_and_relations(ring_file, capsys, 
     assert "the relations differ" in capsys.readouterr().err
 
 
+MODULE_GF3_X = {"ring": RING_GF3_X, "gen_shifts": [0], "rel_columns": [["x"]]}
+HYPERSURFACE = ["--f", "x^2+y^2", "--hmax", "4", "--codegree-max", "12"]
+
+
+@pytest.mark.parametrize("mode", [[], ["--mf"]], ids=["periodicity", "mf"])
+def test_a_hypersurface_module_over_another_ring_is_a_usage_error(ring_file, capsys, mode):
+    # RING = GF(2)[x, y] and f = x^2 + y^2, the module over GF(3)[x]; it
+    # is checked against the quotient, which has f as its relation, or
+    # with --mf against the ambient ring
+    module = ring_file(MODULE_GF3_X, "module.json")
+    args = ["hypersurface", ring_file(RING_KXY), *HYPERSURFACE, *mode, "--module", module]
+    assert run_cli(args) == 2
+    err = capsys.readouterr().err
+    assert "GF(3); x[2]" in err and "GF(2); x[1], y[1]" in err
+    assert ("the field and generators differ" if mode else
+            "the field and generators and relations differ") in err
+
+
+def test_a_hypersurface_module_lives_on_the_quotient_or_with_mf_the_ambient_ring(
+        ring_file, capsys):
+    ring = ring_file(RING_KXY)
+    quotient = dict(RING_KXY, relations=["x^2+y^2"])
+    on_quotient = ring_file({"ring": quotient, "gen_shifts": [0],
+                             "rel_columns": [["x"], ["y"]]}, "quotient.json")
+    # S/(x + y) has projective dimension 1 over S and f = (x + y)^2 kills it
+    on_ambient = ring_file({"ring": RING_KXY, "gen_shifts": [0],
+                            "rel_columns": [["x+y"]]}, "ambient.json")
+    # k over R = S/(f)
+    assert run_cli(["hypersurface", ring, *HYPERSURFACE, "--module", on_quotient]) == 0
+    assert "pass" in capsys.readouterr().out
+    assert run_cli(["hypersurface", ring, *HYPERSURFACE, "--mf", "--module", on_ambient]) == 0
+    assert "verified" in capsys.readouterr().out
+    # each mode rejects the other's module: the relations differ
+    assert run_cli(["hypersurface", ring, *HYPERSURFACE, "--module", on_ambient]) == 2
+    assert "the relations differ" in capsys.readouterr().err
+    assert run_cli(["hypersurface", ring, *HYPERSURFACE, "--mf", "--module", on_quotient]) == 2
+    assert "the relations differ" in capsys.readouterr().err
+
+
 def test_a_module_ring_may_list_its_relations_in_any_order(ring_file, capsys):
     # the module is R = k[x,y]/(x^2, y^3) itself, free of rank 1
     ring = dict(RING_KXY, relations=["x^2", "y^3"])

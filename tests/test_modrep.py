@@ -1,9 +1,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gradedalg import modrep
 from gradedalg.fields import PrimeField, ExtensionField
 from gradedalg.groups import group_preset
-from gradedalg.linalg import RowSpace
+from gradedalg.linalg import Matrix, RowSpace
 from gradedalg.modrep import (GroupAlgebra, GroupModule, RepresentationError,
                               radical, principal_indecomposables,
                               projective_cover, k_coradical_tower,
@@ -12,6 +13,7 @@ from gradedalg.modrep import (GroupAlgebra, GroupModule, RepresentationError,
 F2 = PrimeField(2)
 F3 = PrimeField(3)
 F4 = ExtensionField(2, 2)
+F16 = ExtensionField(2, 4)
 
 
 def test_radical_dimensions():
@@ -198,3 +200,142 @@ def test_restriction_to_a_non_submodule_is_rejected():
     # the identity element alone: the other group element moves it out
     with pytest.raises(RepresentationError, match="does not span a submodule"):
         reg.restrict_to([A.one()])
+
+
+# -- the generator rule against the all-elements loops it replaced ---------
+#
+# submodule_span, restrict_to and k_coradical_tower act through the
+# group's generators.  The loops below act through every group element,
+# as those methods did before, and serve as the reference.
+
+def _span_all_elements(module, vectors):
+    span = RowSpace(module.field, module.dim)
+    basis = []
+    queue = list(vectors)
+    while queue:
+        v = queue.pop()
+        if not span.insert(v):
+            continue
+        basis.append(v)
+        for g in range(module.algebra.n):
+            queue.append(module.mats[g].apply(v))
+    return basis
+
+
+def _restrict_all_elements(module, basis):
+    if not basis:
+        return GroupModule.zero(module.algebra), Matrix(module.field, [], ncols=0)
+    incl = Matrix.from_columns(module.field, basis, module.dim)
+    mats = []
+    for g in range(module.algebra.n):
+        cols = []
+        for b in basis:
+            coords = incl.solve(module.mats[g].apply(b))
+            if coords is None:
+                raise RepresentationError("basis does not span a submodule")
+            cols.append(coords)
+        mats.append(Matrix.from_columns(module.field, cols, len(basis)))
+    return GroupModule(module.algebra, mats, check=False), incl
+
+
+def _tower_all_elements(module):
+    F = module.field
+
+    def u_of(basis_vectors):
+        vecs = []
+        for v in basis_vectors:
+            for g in range(module.algebra.n):
+                gv = module.mats[g].apply(v)
+                vecs.append([F.sub(x, y) for x, y in zip(gv, v)])
+        span = RowSpace(F, module.dim)
+        return [w for w in vecs if span.insert(w)]
+
+    dim_prev = module.dim
+    current = u_of(Matrix.identity(F, module.dim).rows)
+    while len(current) < dim_prev:
+        dim_prev = len(current)
+        nxt = u_of(current)
+        if len(nxt) == dim_prev:
+            break
+        current = nxt
+    if len(u_of(current)) != len(current):
+        raise RepresentationError("coradical tower failed to stabilize")
+    return current
+
+
+def _same_subspace(field, dim, a, b):
+    span = RowSpace(field, dim)
+    for v in a:
+        span.insert(v)
+    return span.dim == len(a) == len(b) and all(span.contains(v) for v in b)
+
+
+_GENERATOR_CASES = [("v4", F2), ("q8", F2), ("d8", F2), ("a4", F4), ("a4", F16),
+                    ("c3c3_c2", F3)]
+_case_modules = {}
+
+
+def _case_modules_of(name, field):
+    """The regular module and a sum of two PIMs (the first and the last)."""
+    key = (name, field)
+    if key not in _case_modules:
+        A = GroupAlgebra(group_preset(name), field)
+        pims = principal_indecomposables(A)
+        _case_modules[key] = [A.regular_module(),
+                              pims[0]["module"].direct_sum(pims[-1]["module"])]
+    return _case_modules[key]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_GENERATOR_CASES), st.integers(0, 1), st.data())
+def test_generators_decide_spans_restrictions_and_towers(case, which, data):
+    name, field = case
+    module = _case_modules_of(name, field)[which]
+    elements = field.elements()
+    vectors = [[data.draw(st.sampled_from(elements)) for _ in range(module.dim)]
+               for _ in range(data.draw(st.integers(1, 2)))]
+    span = module.submodule_span(vectors)
+    assert _same_subspace(field, module.dim, span, _span_all_elements(module, vectors))
+    sub, incl = module.restrict_to(span)
+    ref, ref_incl = _restrict_all_elements(module, span)
+    assert sub.mats == ref.mats and incl == ref_incl
+    assert _same_subspace(field, sub.dim, k_coradical_tower(sub), _tower_all_elements(sub))
+    assert _same_subspace(field, module.dim, k_coradical_tower(module),
+                          _tower_all_elements(module))
+
+
+@pytest.mark.parametrize("name,field", _GENERATOR_CASES)
+def test_squeezed_resolution_is_unchanged_by_the_generator_rule(monkeypatch, name, field):
+    group = group_preset(name)
+    steps = 2
+    got = squeezed_resolution(group, field, steps)
+    monkeypatch.setattr(GroupModule, "submodule_span", _span_all_elements)
+    monkeypatch.setattr(GroupModule, "restrict_to", _restrict_all_elements)
+    monkeypatch.setattr(modrep, "k_coradical_tower", _tower_all_elements)
+    assert got == squeezed_resolution(group, field, steps)
+
+
+@pytest.mark.parametrize("name,field", _GENERATOR_CASES)
+def test_a_cover_checked_on_the_generators_commutes_with_every_element(name, field):
+    A = GroupAlgebra(group_preset(name), field)
+    for M in (GroupModule.trivial(A), A.regular_module()):
+        P, surj = projective_cover(M)
+        for g in range(A.n):
+            assert M.mats[g].mul(surj) == surj.mul(P.mats[g])
+
+
+@pytest.mark.parametrize("name,field", _GENERATOR_CASES)
+def test_a_basis_fixed_by_one_generator_only_spans_no_submodule(name, field):
+    # the span of the cyclic subgroup <s> inside the regular module: s
+    # keeps it, and the next generator moves it out
+    A = GroupAlgebra(group_preset(name), field)
+    reg = A.regular_module()
+    s, table = A.generators[0], A.group.table
+    orbit = [A.group.identity]
+    while table[s][orbit[-1]] != A.group.identity:
+        orbit.append(table[s][orbit[-1]])
+    basis = [A.basis_element(g) for g in orbit]
+    assert len(A.generators) > 1
+    assert all(reg.mats[s].apply(b) in basis for b in basis)
+    with pytest.raises(RepresentationError, match="does not span a submodule"):
+        reg.restrict_to(basis)

@@ -91,7 +91,7 @@ def test_sd16_hilbert_prefix_at_macaulay_scale():
 
 def _table_matrix(ring, i, a):
     """Multiplication by generator i, R_a -> R_(a + |x_i|), from its table."""
-    table = ring.times_table(ring.gen_poly(i), a)
+    table = ring.generator_table(i, a)
     return Matrix.from_columns(ring.field, [table[b] for b in ring.component(a).basis],
                                ring.dim(a + ring.codegrees[i]))
 
@@ -108,27 +108,30 @@ def test_generator_tables_match_products_column_by_column(name):
     for i, d in enumerate(ring.codegrees):
         x = ring.gen_poly(i)
         for a in range(11):
-            table = ring.times_table(x, a)
-            assert ring.times_table(x, a) is table  # cached on the ring
+            table = ring.generator_table(i, a)
+            assert ring.generator_table(i, a) is table  # cached on the ring
             assert not table  # entries are computed on lookup
             target = ring.component(a + d)
             for b in ring.component(a).basis:
                 assert table[b] == target.reduce_poly(ring.mono_times_poly(b, x))
             assert list(table) == ring.component(a).basis
-    square = ring.pmul(ring.gen_poly(0), ring.gen_poly(0))
-    assert ring.times_table(square, 2) is not ring.times_table(square, 2)
-    table, b = ring.times_table(square, 2), ring.component(2).basis[-1]
-    assert table[b] == ring.component(2 + 2 * ring.codegrees[0]).reduce_poly(
-        ring.mono_times_poly(b, square))
+    table, b = ring.generator_table(0, 11), ring.component(11).basis[-1]
+    assert table[b] == ring.component(11 + ring.codegrees[0]).reduce_poly(
+        ring.mono_times_poly(b, ring.gen_poly(0)))
     assert list(table) == [b]  # only the product looked up was computed
+    # other polynomials go through the batched kernel of their target
+    square = ring.pmul(ring.gen_poly(0), ring.gen_poly(0))
+    target, b = ring.component(2 + 2 * ring.codegrees[0]), ring.component(2).basis[-1]
+    assert target.products([b], target.terms(square))[0] == target.reduce_poly(
+        ring.mono_times_poly(b, square))
 
 
 def test_generator_tables_multiply_with_the_monomial_on_the_left():
     ring = _ring("exterior")
     one, minus_one = ring.field.one(), ring.field.from_int(-1)
     ef = ring.component(4).basis.index((1, 1, 0))
-    assert ring.times_table(ring.gen_poly(1), 1)[(1, 0, 0)] == {ef: one}        # e * f
-    assert ring.times_table(ring.gen_poly(0), 3)[(0, 1, 0)] == {ef: minus_one}  # f * e
+    assert ring.generator_table(1, 1)[(1, 0, 0)] == {ef: one}        # e * f
+    assert ring.generator_table(0, 3)[(0, 1, 0)] == {ef: minus_one}  # f * e
 
 
 @pytest.mark.parametrize("name", ["a4_ring", "sd16", "rational_x", "exterior"])
@@ -340,10 +343,10 @@ def test_coded_components_and_tables_match_the_tuple_route(case):
         q = {m: c for m, c in q.items() if c != ring.field.zero()}
         assert comp.reduce_poly(q) == reduce(q)
         if p and n + e <= 12:
-            table = ring.times_table(p, n)
+            target = ring.component(n + e)
             reduce_target = _reference_component(ring, n + e)[1]
-            for b in basis:
-                assert table[b] == reduce_target(_mono_times_poly_reference(ring, b, p))
+            for b, coords in zip(basis, target.products(basis, target.terms(p))):
+                assert coords == reduce_target(_mono_times_poly_reference(ring, b, p))
 
 
 @pytest.mark.parametrize("field", [PrimeField(2), Rationals()], ids=["GF2", "QQ"])
@@ -356,9 +359,8 @@ def test_code_width_grows_with_the_codegree(field):
     for n in range(25):
         assert ring.component(n).basis == _reference_component(ring, n)[0]
     assert ring.dim(8) == 1 and ring.component(8).basis == [(1, 0)]
-    y = ring.gen_poly(1)
     minus_one = field.neg(field.one())
-    assert densified(field, ring.times_table(y, 6)[(0, 3)], 1) == [minus_one]  # y^4 = -x
+    assert densified(field, ring.generator_table(1, 6)[(0, 3)], 1) == [minus_one]  # y^4 = -x
     assert densified(field, ring.component(8).reduce_poly({(0, 4): field.one()}), 1) == [
         minus_one]
 
@@ -372,5 +374,5 @@ def test_unsigned_rings_never_multiply_exponent_tuples(monkeypatch):
         monkeypatch.setattr(ring, "mono_times_poly", refuse)
         assert ring.hilbert_prefix(12) == [ring.dim(n) for n in range(13)]
         for i in range(ring.ngens):
-            table = ring.times_table(ring.gen_poly(i), 6)
+            table = ring.generator_table(i, 6)
             assert [table[b] for b in ring.component(6).basis]

@@ -12,8 +12,11 @@ run on each checkout.  The order inside a pair alternates (parent first, then
 change first) and the seeds take turns two pairs at a time, so drift in
 the machine's speed, the order and the seed fall on both sides alike.
 The file holds, per workload and side, each end-to-end metric's median,
-quartiles and runs, and the fail rate.  Per metric it also holds the
-pairs the change won and two verdicts: `gain`, when the change won at
+quartiles and runs, the fail rate, and the same summary of each run's
+median unscaled pass seconds (the `untraced passes of X s unscaled`
+figure on run.py's stderr), which shows how far a pass is from the speed
+probe's sampling period.  Per metric it also holds the pairs the change
+won and two verdicts: `gain`, when the change won at
 least nine tenths of the pairs and the medians differ by more than the
 parent's interquartile range, and `within_bound`, when the change's
 median is no worse than the parent's by more than the relative bound in
@@ -21,6 +24,8 @@ the change's BENCHMARK.json.  The seconds of every preset_run are timed
 the same way, ten alternating pairs of fresh processes, and kept with
 their medians, quartiles, runs and the pairs the change won.  Then come,
 for each side, the tier-1 wall time and the `wc -l` line count of src/.
+A run that exits non-zero stops the recording with its checkout,
+workload, seed, exit code and last lines of stderr.
 Standard library only.
 """
 
@@ -30,6 +35,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -38,14 +44,29 @@ import time
 PAIRS = 10  # the fewest pairs a claimed gain is judged on
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
+STDERR_TAIL = 20  # lines of a failed run's stderr shown
+UNSCALED = re.compile(r"untraced passes of ([0-9.]+) s unscaled")
+
+
+class RunFailed(RuntimeError):
+    """A benchmark run that exited non-zero."""
 
 
 def bench_run(checkout, workload, seed, seconds):
-    """One `bench/run.py --trace 0` run: its parsed last line of output."""
+    """One `bench/run.py --trace 0` run: its parsed last line of output,
+    with the median unscaled pass seconds from its stderr summary line
+    (None if that line is missing) under "unscaled_pass_s"."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
-    return json.loads(out.stdout.strip().splitlines()[-1])
+    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if out.returncode != 0:
+        tail = "\n".join(out.stderr.splitlines()[-STDERR_TAIL:])
+        raise RunFailed(f"bench/run.py in {checkout}, workload {workload}, seed {seed}, "
+                        f"exited {out.returncode}; last lines of stderr:\n{tail}")
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    found = UNSCALED.search(out.stderr)
+    result["unscaled_pass_s"] = float(found.group(1)) if found else None
+    return result
 
 
 def summarize(values):
@@ -65,7 +86,9 @@ def summarize_side(results):
         metrics[name] = dict(summarize(values), unit=entry["unit"])
     attempted = sum(r["attempted"] for r in results)
     failed = sum(r["failed"] for r in results)
-    return {"metrics": metrics, "fail_rate": failed / attempted if attempted else None}
+    passes = [r["unscaled_pass_s"] for r in results if r.get("unscaled_pass_s") is not None]
+    return {"metrics": metrics, "fail_rate": failed / attempted if attempted else None,
+            "unscaled_pass_s": summarize(passes) if passes else None}
 
 
 def verdicts(parent, change, bounds):
@@ -166,10 +189,14 @@ def main(argv=None):
         "workloads": {},
     }
     for workload in (w["name"] for w in benchmark["workloads"]):
-        parent, change = in_pairs(
-            args.parent, args.change, workload,
-            lambda checkout, k: bench_run(
-                checkout, workload, args.seeds[k // 2 % len(args.seeds)], seconds))
+        try:
+            parent, change = in_pairs(
+                args.parent, args.change, workload,
+                lambda checkout, k: bench_run(
+                    checkout, workload, args.seeds[k // 2 % len(args.seeds)], seconds))
+        except RunFailed as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 1
         record["workloads"][workload] = {
             "parent": summarize_side(parent),
             "change": summarize_side(change),
