@@ -12,8 +12,8 @@ Raising the levels multiplies summand S by the gap powers; the Cech
 complex of localcoh is the colimit of these transitions.  Every map is
 kept as its columns in the field's vector format, shifted to the offsets
 of their target summands.  Each block of columns is one call of
-GradedModule.mult_columns, which multiplies the power into the whole
-source basis of each slot in one batch (rings.RingComponent.products);
+GradedModule.images, which multiplies the power into the whole source
+basis of each slot in one batch (rings.RingComponent.products);
 ranks come from eliminating those columns, so no map is ever turned into
 rows.
 
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from functools import reduce
 from itertools import accumulate, combinations
+from operator import mul
 
 from .linalg import RowSpace
 from .modules import GradedModule
@@ -79,8 +80,11 @@ class KoszulComplex:
                 factors = [self.ring.ppow(a, k) for a, k in zip(self.elements, e) if k]
                 self._powers[e] = (reduce(self.ring.pmul, factors) if factors
                                    else self.ring.pconst(1))
-            p = self._powers[e]
-            self._blocks[e, m] = self.module.mult_columns(p, m) if p else None
+            p, M = self._powers[e], self.module
+            # GradedModule.mult_columns, with the codegree of a^e known
+            self._blocks[e, m] = M.images(
+                M.component(m).basis, M.free.scalar_columns(p),
+                m + sum(map(mul, e, self.codegrees))) if p else None
         return self._blocks[e, m]
 
     def drop_below(self, m):

@@ -8,7 +8,13 @@ and square to zero (extra relations may of course be supplied).
 
 Degreewise data comes from spanning-set elimination over the monomial
 basis: the codegree-n piece of the relation ideal is spanned by
-{m * f : f a relation, m a monomial with |m| + |f| = n}.
+{m * f : f a relation, m a monomial with |m| + |f| = n}.  Not every such
+Macaulay row is tried.  A row's level is the least index of a generator
+in m (infinity for m = 1), and each component records the rows that
+enlarged its span.  Codegree n tries the relations of codegree n, then,
+for j from the last generator down to the first, x_j times the recorded
+rows of level >= j of codegree n - |x_j| (the Eliahou-Kervaire
+multiplicative-variable rule); see RingComponent.
 
 In a ring with no odd-signed generator, components and multiplication
 tables work on monomial codes: one int per monomial, with a bit field per
@@ -242,6 +248,13 @@ class GradedRing:
             self._code_cache[key] = out
         return self._code_cache[key]
 
+    def recode(self, code, w, w2):
+        """A monomial's code at field width w as its code at width w2."""
+        out, mask = 0, (1 << w) - 1
+        for i in range(self.ngens):
+            out |= (code >> w * i & mask) << w2 * i
+        return out
+
     # -- degreewise components -------------------------------------------
 
     def component(self, n):
@@ -307,6 +320,30 @@ class RingComponent:
     coded ring (GradedRing.coded) its code at this codegree's field width,
     so that the key of b * m is the sum of the keys, and otherwise its
     exponent tuple, multiplied by mono_times_poly.
+
+    Not every row m * f is tried.  The level of a row is the least index
+    of a generator in m, infinity for m = 1.  For each relation the
+    component keeps the keys of the multipliers whose rows enlarged the
+    span, in the order tried.  Codegree n tries the relations of codegree
+    n, then, for j from the last generator down to the first, x_j * m * f
+    for each kept row m * f of level >= j in codegree n - |x_j|.  So the
+    levels never rise along the order.
+
+    These rows still span the relations' codegree-n piece.  Take a row
+    mu * f and write mu = x_k * nu, k the least index in mu.  A rejected
+    row lies in the span of the rows tried before it, whose levels are at
+    least its own.  So, by induction on the codegree, the kept rows of
+    level >= k span every mu * f whose least index is >= k, and x_k times
+    those of codegree n - |x_k| span x_k * nu * f.  In a signed ring
+    x_k * (nu * f) = +-(x_k nu) * f, and x_k^2 = 0 for an odd x_k, so
+    such a product is skipped.  The span, and with it the pivots, the
+    basis and every reduction, is that of all the rows.
+
+    The component of codegree n - |x_j| is read only if it is already
+    cached.  Otherwise level j tries every m of codegree n - |f| whose
+    least index is j.  Building the missing components instead would do
+    work no caller asked for: a Cech complex reads a few codegrees far
+    apart, and their lower neighbours cost more than the rows they save.
     """
 
     def __init__(self, ring, n):
@@ -316,15 +353,53 @@ class RingComponent:
         self._width = ring.code_width(n) if ring.coded else None
         self._index = None
         self._span = span = RowSpace(ring.field, len(self.monomials_all))
-        for rel in ring.relations:
-            d = ring.mono_codegree(next(iter(rel)))
-            if d > n:
-                continue
-            for row in self.columns(self.keys(n - d), self.terms(rel)):
-                if row:
-                    span.insert(row)
+        rels = [(r, ring.mono_codegree(next(iter(f))), f) for r, f in enumerate(ring.relations)]
+        rels = [(r, d, self.terms(f)) for r, d, f in rels if d <= n]
+        # per relation the kept multipliers' keys, and cuts[j][r]: how many
+        # of them have level >= j (j = ngens for infinity).  They are read
+        # only for a relation of codegree <= n, so with none here, as in a
+        # polynomial ring, no level is visited.
+        self._grown = grown = [[] for _ in ring.relations]
+        self._cuts = cuts = [None] * (ring.ngens + 1)
+        for j in range(ring.ngens, -1, -1) if rels else ():
+            lower = ring._component_cache.get(n - ring.codegrees[j]) if j < ring.ngens else None
+            for r, d, terms in rels:
+                bs = self._multipliers(j, r, d, lower)
+                if bs:
+                    kept = grown[r]
+                    for b, row in zip(bs, self.columns(bs, terms)):
+                        if row and span.insert(row):
+                            kept.append(b)
+            cuts[j] = tuple(map(len, grown))
         self.basis = [self.monomials_all[c] for c in span.nonpivot_columns()]
         self.dim = len(self.basis)
+
+    def _multipliers(self, j, r, d, lower):
+        """The keys of the multipliers of level j that relation r (of
+        codegree d) tries here: x_j times its kept multipliers of level
+        >= j in lower, the component of codegree n - |x_j|, or, with no
+        lower, every monomial of codegree n - d whose least index is j.
+        Level ngens is infinity: m = 1, for a relation of codegree n."""
+        ring, w = self.ring, self._width
+        if j == ring.ngens:
+            return [0 if w is not None else (0,) * j] if d == self.n else []
+        if d + ring.codegrees[j] > self.n:
+            return []
+        if lower is None:
+            c = self.n - d
+            if w is None:
+                pad = (0,) * j
+                return [pad + s for s in ring._suffixes(j, c)[len(ring._suffixes(j + 1, c)):]]
+            return ring._suffix_codes(j, c, w)[len(ring._suffix_codes(j + 1, c, w)):]
+        below = lower._grown[r][:lower._cuts[j][r]]
+        if w is None:
+            # below have no generator before j; an odd x_j squares to zero
+            if ring.odd[j]:
+                return [m[:j] + (1,) + m[j + 1:] for m in below if not m[j]]
+            return [m[:j] + (m[j] + 1,) + m[j + 1:] for m in below]
+        if lower._width != w:
+            below = [ring.recode(k, lower._width, w) for k in below]
+        return list(map((1 << w * (ring.ngens - 1 - j)).__add__, below))
 
     @property
     def index(self):
@@ -332,14 +407,10 @@ class RingComponent:
         in, such as one of a polynomial ring read for its dimension, never
         needs it."""
         if self._index is None:
-            self._index = {k: c for c, k in enumerate(self.keys(self.n))}
+            keys = (self.monomials_all if self._width is None
+                    else self.ring.codes(self.n, self._width))
+            self._index = {k: c for c, k in enumerate(keys)}
         return self._index
-
-    def keys(self, a):
-        """The keys here of the monomials of codegree a, in their order."""
-        if self._width is None:
-            return self.ring.monomials(a)
-        return self.ring.codes(a, self._width)
 
     def keys_of(self, monos):
         """The keys here of a list of monomials (exponent tuples)."""

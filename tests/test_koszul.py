@@ -327,13 +327,14 @@ def test_one_cech_table_builds_each_multiplication_block_once(monkeypatch):
     ring = ring_with_relations(F2, [("x", 1), ("y", 1), ("z", 2)], ["x^2*y"])
     x, y, z = (parse_poly(g, ring) for g in "xyz")
     calls = []
-    original = GradedModule.mult_columns
+    original = GradedModule.images
 
-    def counted(self, poly, n):
-        calls.append((frozenset(poly.items()), n))
-        return original(self, poly, n)
+    def counted(self, pairs, columns, n):
+        # a block is the images of one power's scalar columns
+        calls.append((frozenset(columns[0][0].items()), n))
+        return original(self, pairs, columns, n)
 
-    monkeypatch.setattr(GradedModule, "mult_columns", counted)
+    monkeypatch.setattr(GradedModule, "images", counted)
     # distinct exponent vectors on these elements give distinct polynomials,
     # so one block per (polynomial, codegree); blocks are dropped as the
     # codegrees are done, in any order

@@ -326,18 +326,31 @@ def _unsigned_rings(draw):
     return ring, p, draw(st.randoms(use_true_random=False))
 
 
-@settings(max_examples=120, deadline=None)
-@given(_unsigned_rings())
-def test_coded_components_and_tables_match_the_tuple_route(case):
-    ring, p, rnd = case
-    assert ring.coded
+@st.composite
+def _signed_rings(draw):
+    """A ring over GF(3) or QQ with one to four generators, at least one
+    of odd codegree, so odd generators anticommute, square to zero and
+    kill Macaulay rows; up to three relations and a polynomial to
+    multiply by, as in _unsigned_rings."""
+    field = draw(st.sampled_from([PrimeField(3), Rationals()]))
+    degrees = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4).filter(
+        lambda ds: any(d % 2 for d in ds)))
+    ring = GradedRing(field, [(f"x{i}", d) for i, d in enumerate(degrees)])
+    relations = [_homogeneous(draw, ring, draw(st.integers(1, 5)))
+                 for _ in range(draw(st.integers(0, 3)))]
+    ring = GradedRing(field, ring.gens, relations)
+    p = _homogeneous(draw, ring, draw(st.integers(0, 3)))
+    return ring, p, draw(st.randoms(use_true_random=False))
+
+
+def _assert_components_match_reference(ring, p, rnd):
+    """Components 0..12 against _reference_component: the basis, the
+    reduction of a random polynomial and the products by p."""
     e = ring.poly_codegree(p)
     for n in range(13):
         basis, reduce = _reference_component(ring, n)
         comp = ring.component(n)
         assert comp.basis == basis, n
-        w = ring.code_width(n)
-        assert ring.codes(n, w) == [ring.code(m, w) for m in ring.monomials(n)]
         monos = ring.monomials(n)
         q = {m: ring.field.from_int(rnd.randint(1, 5)) for m in rnd.sample(monos, min(4, len(monos)))}
         q = {m: c for m, c in q.items() if c != ring.field.zero()}
@@ -347,6 +360,51 @@ def test_coded_components_and_tables_match_the_tuple_route(case):
             reduce_target = _reference_component(ring, n + e)[1]
             for b, coords in zip(basis, target.products(basis, target.terms(p))):
                 assert coords == reduce_target(_mono_times_poly_reference(ring, b, p))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_unsigned_rings())
+def test_coded_components_and_tables_match_the_tuple_route(case):
+    ring, p, rnd = case
+    assert ring.coded
+    for n in range(13):
+        w = ring.code_width(n)
+        assert ring.codes(n, w) == [ring.code(m, w) for m in ring.monomials(n)]
+    _assert_components_match_reference(ring, p, rnd)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_unsigned_rings(), _signed_rings()), st.permutations(range(13)))
+def test_ordered_macaulay_rows_span_what_all_rows_do_in_any_build_order(case, order):
+    # where codegree n - |x_j| is cached, x_j multiplies its kept rows,
+    # else every monomial of level j is tried: a drawn build order runs both
+    ring, p, rnd = case
+    for n in order:
+        ring.component(n)
+    _assert_components_match_reference(ring, p, rnd)
+
+
+def test_sd16_components_try_fewer_rows_than_all_products(monkeypatch):
+    ring = get_preset("sd16").build_ring()
+    tried, enlarged = [], []
+    original = RowSpace.insert
+
+    def counted(self, vec):
+        grew = original(self, vec)
+        tried.append(vec)
+        if grew:
+            enlarged.append(vec)
+        return grew
+
+    monkeypatch.setattr(RowSpace, "insert", counted)
+    dims = [ring.dim(n) for n in range(25)]  # in order: every lower one is cached
+    ideal = sum(len(ring.monomials(n)) - dims[n] for n in range(25))
+    every_row = sum(len(ring.monomials(n - ring.poly_codegree(f)))
+                    for f in ring.relations for n in range(25))
+    # one enlarging row per dimension of the relation ideal
+    assert len(enlarged) == ideal == 2240
+    # all products m * f would be 5636 rows
+    assert len(tried) == 2620 < every_row == 5636
 
 
 @pytest.mark.parametrize("field", [PrimeField(2), Rationals()], ids=["GF2", "QQ"])
