@@ -206,6 +206,8 @@ def _cmd_localcoh(args):
     uncertified = sorted({cell for table in tables.values()
                           for cell, ok in table.certified.items() if not ok})
     report["uncertified"] = [list(cell) for cell in uncertified]
+    # what a certified Cech cell rests on; duality cells are exact
+    report["stopping_rule"] = tables["cech"].stopping_rule if "cech" in tables else None
     if uncertified:
         report["lines"].append("uncertified (i,n), marked ?: " +
                                " ".join(f"({i},{n})" for i, n in uncertified))

@@ -101,9 +101,7 @@ class KoszulComplex:
             return 0
         if n not in self._ones:
             self._ones[n] = self.slice((1,) * self.c, n - sum(self.codegrees))
-        s, j = self._ones[n], self.c - i
-        rank_in = s.rank(j - 1) if j > 0 else 0
-        return s.term_dim(j) - rank_in - s.rank(j)
+        return self._ones[n].cohomology_dim(self.c - i)
 
 
 class _CochainSlice:
@@ -170,8 +168,14 @@ class _CochainSlice:
         """Rank of the differential out of cochain degree i."""
         if i not in self._ranks:
             span = RowSpace(self.K.ring.field, self.term_dim(i + 1))
-            self._ranks[i] = sum(span.insert(col) for col in self.differential(i))
+            self._ranks[i] = span.extend(self.differential(i))
         return self._ranks[i]
+
+    def cohomology_dim(self, i):
+        """dim H^i of this slice: term_dim(i) - rank(i) - rank(i - 1), with
+        no rank built where the term is zero."""
+        dim = self.term_dim(i)
+        return dim and dim - self.rank(i) - (self.rank(i - 1) if i > 0 else 0)
 
     def transition_to(self, other, i):
         """The columns of the chain map from cochain degree i of this slice

@@ -14,6 +14,11 @@ the high coboundaries, W is spanned by (0, b) for b in B, put in first,
 and (d e_j, T e_j) for each basis vector e_j.  Pivots are least columns,
 so those at or past r span W's part with d-part zero, T(ker d) + B, and
 rank H^i(T) = dim W - #pivots below r - #coboundary pivots (= dim B).
+Most of those ranks are zero, and provably so without W: H^i(T) maps
+H^i of the low slice to H^i of the high one, so its rank is at most the
+smaller of the two dimensions, term - rank out - rank in of each slice's
+own differentials.  Where either is zero the rank is 0 and T is never
+built; every rank, so every cell and flag, is the one W would give.
 
 duality_table computes the same dimensions through graded duality over
 a polynomial subring: H^i in codegree n has the dimension of
@@ -35,12 +40,13 @@ class LocalCohomologyError(ValueError):
 
 
 class CohomologyTable:
-    def __init__(self, degrees, top, method):
+    def __init__(self, degrees, top, method, stopping_rule=None):
         self.degrees = list(degrees)
         self.top = top            # largest homological index carried
         self.method = method
         self.dims = {}            # (i, n) -> dimension
         self.certified = {}       # (i, n) -> bool (rank window stabilized)
+        self.stopping_rule = stopping_rule  # Cech: {"window": .., "stab_bound": ..}
 
     def dim(self, i, n):
         return self.dims.get((i, n), 0)
@@ -63,18 +69,20 @@ class CohomologyTable:
 
 def _induced_rank(low, high, i):
     """Rank of the map on degree-i cohomology induced by the transition T:
-    dim W - #pivots below r - #coboundary pivots (see the module docstring)."""
-    if not low.term_dim(i):
+    dim W - #pivots below r - #coboundary pivots (see the module docstring).
+    It is at most dim H^i at either end, so where one is zero it is 0 and
+    nothing of T is built; the low end is tested first."""
+    if not low.cohomology_dim(i) or not high.cohomology_dim(i):
         return 0
     F = low.K.ring.field
     r = low.term_dim(i + 1)
     span = RowSpace(F, r + high.term_dim(i))
     if i > 0:
-        for b in high.differential(i - 1):
-            span.insert(b << r if F.packed else {r + k: x for k, x in b.items()})
+        span.extend(b << r if F.packed else {r + k: x for k, x in b.items()}
+                    for b in high.differential(i - 1))
     base = span.dim
-    for d, t in zip(low.differential(i), low.transition_to(high, i)):
-        span.insert(d | t << r if F.packed else {**d, **{r + k: x for k, x in t.items()}})
+    span.extend(d | t << r if F.packed else {**d, **{r + k: x for k, x in t.items()}}
+                for d, t in zip(low.differential(i), low.transition_to(high, i)))
     return span.dim - span.pivots_below(r) - base
 
 
@@ -87,12 +95,19 @@ def cech_table(module, elements, degrees=None, stab_bound=16, buffer=8,
     steps give equal ranks.  That is a stopping rule, not a proof that
     the colimit has stabilized.  Cells that never reach it inside
     stab_bound are reported with their last rank and certified=False.
+    The table's stopping_rule records window and stab_bound.
+
+    A step whose H^i is zero at the low or the high level has rank 0,
+    as no map out of or into a zero space has more, so its transition
+    is not built (see _induced_rank).  The ranks, the stopping rule and
+    so the cells are exactly those of eliminating every transition.
 
     The slices come from one KoszulComplex per call, whose block cache
     builds each power of the elements and the columns of each
     multiplication block once for all slices, and goes when the call
-    returns.  Slices are dropped once their codegree n is done, and
-    blocks once their source codegree is below every n still to do.
+    returns.  A slice is made when a step first reaches its level, and
+    slices are dropped once their codegree n is done, blocks once their
+    source codegree is below every n still to do.
     """
     try:
         K = KoszulComplex(module.ring, elements, module)
@@ -101,16 +116,20 @@ def cech_table(module, elements, degrees=None, stab_bound=16, buffer=8,
     if degrees is None:
         degrees = range(-20, 21)
     degrees = list(degrees)
-    table = CohomologyTable(degrees, K.c, "cech")
+    table = CohomologyTable(degrees, K.c, "cech",
+                            {"window": window, "stab_bound": stab_bound})
 
     for k, n in enumerate(degrees):
         base = [max(1, -((n - buffer) // d)) for d in K.codegrees]
-        # step t maps slice t to slice t + 2; a slice builds nothing until asked
-        slices = [K.slice(tuple(b + t for b in base), n) for t in range(stab_bound + 2)]
+        # step t maps slice t, at levels base + t, to slice t + 2; a slice is
+        # made when a step first reaches it and builds nothing until asked
+        slices = []
         for i in range(K.c + 1):
             ranks = []
-            for lo, hi in zip(slices, slices[2:]):
-                ranks.append(_induced_rank(lo, hi, i))
+            for t in range(stab_bound):
+                while len(slices) < t + 3:
+                    slices.append(K.slice(tuple(b + len(slices) for b in base), n))
+                ranks.append(_induced_rank(slices[t], slices[t + 2], i))
                 if len(ranks) >= window and len(set(ranks[-window:])) == 1:
                     table.set(i, n, ranks[-1], True)
                     break

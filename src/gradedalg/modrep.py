@@ -336,8 +336,7 @@ def projective_cover(module: GroupModule):
     summands = []
     generators = []
     covered = RowSpace(F, module.dim)
-    for v in rad_basis:
-        covered.insert(v)
+    covered.extend(rad_basis)
     for pim in pims:
         e = pim["idempotent"]
         # head vectors lying in the chi-isotypic part: images of the lifted
@@ -366,8 +365,7 @@ def projective_cover(module: GroupModule):
         if module.mats[s].mul(surj) != surj.mul(P.mats[s]):
             raise RepresentationError("cover map is not a module map")
     P_rad = RowSpace(F, P.dim)
-    for v in P.radical_submodule():
-        P_rad.insert(v)
+    P_rad.extend(P.radical_submodule())
     for v in surj.kernel_basis():
         if not P_rad.contains(v):
             raise RepresentationError("cover is not minimal: kernel escapes the radical")
@@ -381,6 +379,11 @@ def k_coradical_tower(module: GroupModule):
     (s*w - 1)y = (s - 1)(w*y) + (w - 1)y and Y is a submodule, induction
     on the word length of g gives every (g - 1)y.  Iterate until stable.
     Returns the basis of the stable submodule inside `module`.
+
+    The loop leaves only through its break, where U(Y) has the dimension
+    of Y and so equals it, or at once when U(M) = M: either way the
+    returned Y has U(Y) = Y, which is the certificate, with nothing left
+    to recompute.
     """
     F = module.field
     dim_prev = module.dim
@@ -402,9 +405,6 @@ def k_coradical_tower(module: GroupModule):
         if len(nxt) == dim_prev:
             break
         current = nxt
-    # certificate: U(M) = M, i.e. no nonzero map to the trivial module
-    if len(u_of(current)) != len(current):
-        raise RepresentationError("coradical tower failed to stabilize")
     return current
 
 
@@ -422,8 +422,8 @@ def squeezed_resolution(group: GroupTable, field, steps):
             projectives.append(GroupModule.zero(algebra))
             diffs.append(Matrix(field, [], ncols=0))
             continue
-        ker = di.kernel_basis()
-        Ni, incl_N = Pi.restrict_to(Pi.submodule_span(ker))
+        # the kernel of a module map is a submodule already
+        Ni, incl_N = Pi.restrict_to(di.kernel_basis())
         if Ni.dim == 0:
             projectives.append(GroupModule.zero(algebra))
             diffs.append(Matrix.zero(field, Pi.dim, 0))

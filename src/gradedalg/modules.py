@@ -246,8 +246,7 @@ class GradedModule:
         # relation span what all monomial multiples do
         pairs = [(k, mono) for k, (d, _) in enumerate(self.rel_columns)
                  for mono in ring.component(n - d).basis]
-        for v in self.free.images(pairs, [col for _, col in self.rel_columns], n):
-            span.insert(v)
+        span.extend(self.free.images(pairs, [col for _, col in self.rel_columns], n))
         comp = ModuleComponent(self, n, free_basis, span)
         self._component_cache[n] = comp
         return comp

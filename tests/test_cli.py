@@ -93,6 +93,20 @@ def test_localcoh_flags_uncertified_cells_and_exits_1(ring_file, capsys):
     assert data["uncertified"] == [] and [-4, 3] in data["cech"]["H^2"]
 
 
+def test_localcoh_json_states_the_stopping_rule(ring_file, capsys):
+    path = ring_file(RING_KX)
+    assert run_cli(["localcoh", path, "--ideal", "x", "--window=-4..1",
+                    "--stab-bound", "7", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["stopping_rule"] == {"window": 3, "stab_bound": 7}
+    assert run_cli(["localcoh", path, "--ideal", "x", "--window=-4..1", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["stopping_rule"]["stab_bound"] == 16
+    # duality is exact: no stopping rule stands behind its cells
+    assert run_cli(["localcoh", path, "--ideal", "x", "--window=-4..1",
+                    "--method", "duality", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["stopping_rule"] is None
+
+
 def test_koszul_zero_divisor_detected(ring_file, capsys):
     assert run_cli(["koszul", ring_file(RING_KX2), "--elements", "x"]) == 1
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from gradedalg.fields import PrimeField, Rationals
 from gradedalg.koszul import KoszulComplex, KoszulError, koszul_homology, is_regular_sequence
 from gradedalg.linalg import Matrix, RowSpace, combine, unit_vector
+from gradedalg import localcoh
 from gradedalg.localcoh import LocalCohomologyError, _induced_rank, cech_table
 from gradedalg.modules import GradedModule
 from gradedalg.parsing import parse_poly, ring_with_relations
@@ -292,6 +293,25 @@ def test_induced_ranks_match_the_kernel_basis_reference(K, data):
     lo, hi = K.slice(low, n), K.slice([s + g for s, g in zip(low, gaps)], n)
     for i in range(K.c + 1):
         assert _induced_rank(lo, hi, i) == _reference_induced_rank(lo, hi, i), i
+        for s in (lo, hi):
+            rank_in = _reference_differential(s, i - 1).rank() if i > 0 else 0
+            want = s.term_dim(i) - _reference_differential(s, i).rank() - rank_in
+            assert s.cohomology_dim(i) == want, i
+
+
+@settings(max_examples=100, deadline=None)
+@given(_complexes(st.one_of(_recipes, _signed_recipes)), st.integers(-3, 1),
+       st.integers(1, 5), st.integers(0, 2))
+def test_cech_tables_match_the_ones_from_reference_induced_ranks(K, low, stab_bound, buffer):
+    # the zero-end shortcut changes no rank, so no cell and no flag; a
+    # stab_bound below 5 leaves some cells uncertified
+    degrees = range(low, low + 3)
+    got = cech_table(K.module, K.elements, degrees, stab_bound=stab_bound, buffer=buffer)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(localcoh, "_induced_rank", _reference_induced_rank)
+        want = cech_table(K.module, K.elements, degrees, stab_bound=stab_bound,
+                          buffer=buffer)
+    assert got.dims == want.dims and got.certified == want.certified
 
 
 def _assert_shared_blocks_match_reference(K, data):

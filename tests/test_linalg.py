@@ -8,6 +8,7 @@ from gradedalg.fields import ExtensionField, FieldError, PrimeField, Rationals
 from gradedalg.linalg import Matrix, RowSpace, combine
 
 F2 = PrimeField(2)
+F3 = PrimeField(3)
 F5 = PrimeField(5)
 F4 = ExtensionField(2, 2)
 QQ = Rationals()
@@ -151,13 +152,13 @@ def _as_dict(F, vec):
 
 
 @st.composite
-def _row_sets(draw):
+def _row_sets(draw, fields=(F2, F5, F4, QQ)):
     """A field, a width, rows to insert and probe vectors.
 
     Rows are sparse (at most 3 nonzeros, like Macaulay rows m*f) or dense,
     with entries from a few values so that dependencies are common.
     """
-    field = draw(st.sampled_from([F2, F5, F4, QQ]))
+    field = draw(st.sampled_from(fields))
     ncols = draw(st.integers(0, 8))
     values = [field.zero()] + [field.from_int(k) for k in (1, -1, 2)]
     if field is F4:
@@ -242,6 +243,30 @@ def test_rowspace_matches_dense_elimination(form, case):
         assert densified(F, rs.quotient_coords(given_as(vec)), len(nonpivots)) == [
             reduced[c] for c in nonpivots]
         assert rs.contains(given_as(vec)) == all(x == F.zero() for x in reduced)
+
+
+@pytest.mark.parametrize("form", ["lists", "dicts", "ints"])
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_row_sets((F2, F3, F5, QQ)), _wide_gf2_row_sets()),
+       st.integers(0, 12), st.booleans())
+def test_extend_leaves_the_space_a_loop_of_inserts_leaves(form, case, start, lazily):
+    # the first `start` rows go in one at a time on both sides, so a batch
+    # may start on a non-empty space; the batch is a list or a generator
+    F, ncols, rows, _ = case
+    assume(form != "ints" or F is F2)
+    given_as = {"lists": list, "dicts": lambda v: _as_dict(F, v), "ints": _as_int}[form]
+    head, batch = rows[:start], rows[start:]
+    one, many = RowSpace(F, ncols), RowSpace(F, ncols)
+    for row in head:
+        assert one.insert(given_as(row)) == many.insert(given_as(row))
+    many.nonpivot_columns()  # a cache the batch must clear
+    enlarged = [one.insert(given_as(row)) for row in batch]
+    vectors = (given_as(row) for row in batch)
+    assert many.extend(vectors if lazily else list(vectors)) == sum(enlarged)
+    assert many.dim == one.dim and many._rows == one._rows
+    assert many.nonpivot_columns() == one.nonpivot_columns()
+    assert ([many.pivots_below(c) for c in range(ncols + 2)]
+            == [one.pivots_below(c) for c in range(ncols + 2)])
 
 
 @settings(max_examples=200, deadline=None)
