@@ -398,24 +398,19 @@ class RowSpace:
         return _as_list(self.field, self._reduced_any(vec), self.ncols)
 
     def insert(self, vec):
-        """Insert a vector; returns True if it enlarged the space."""
+        """Insert a vector; returns True if it enlarged the space.  Over
+        GF(2) this is extend's loop on the one vector."""
         if self.packed:
-            v = self._reduced_bits(_pack(vec))
-            if not v:
-                return False
-            low = v & -v
-            self._rows[low.bit_length() - 1] = v
-            self._pivot_bits |= low
-        else:
-            v = self._reduced(vec)
-            if not v:
-                return False
-            F = self.field
-            p = min(v)
-            inv = F.inv(v.pop(p))
-            if inv != F.one():
-                v = {c: F.mul(inv, x) for c, x in v.items()}
-            self._rows[p] = v
+            return self.extend((vec,)) > 0
+        v = self._reduced(vec)
+        if not v:
+            return False
+        F = self.field
+        p = min(v)
+        inv = F.inv(v.pop(p))
+        if inv != F.one():
+            v = {c: F.mul(inv, x) for c, x in v.items()}
+        self._rows[p] = v
         self._nonpivots = self._position = None
         return True
 
@@ -423,8 +418,9 @@ class RowSpace:
         """Insert each of the vectors in turn; returns how many enlarged the
         space.  The space left is the one the same inserts would leave.
 
-        Over GF(2) the loop is insert's, with the rows and pivot bits held
-        in locals and the caches cleared once.
+        Over GF(2) this is the one elimination loop (insert calls it too):
+        the rows and pivot bits are held in locals and the caches cleared
+        once.
         """
         if not self.packed:
             return sum(map(self.insert, vectors))

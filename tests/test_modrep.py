@@ -309,7 +309,6 @@ def test_squeezed_resolution_is_unchanged_by_the_generator_rule(monkeypatch, nam
     group = group_preset(name)
     steps = 2
     got = squeezed_resolution(group, field, steps)
-    monkeypatch.setattr(GroupModule, "submodule_span", _span_all_elements)
     monkeypatch.setattr(GroupModule, "restrict_to", _restrict_all_elements)
     monkeypatch.setattr(modrep, "k_coradical_tower", _tower_all_elements)
     assert got == squeezed_resolution(group, field, steps)
