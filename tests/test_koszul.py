@@ -299,12 +299,12 @@ def test_induced_ranks_match_the_kernel_basis_reference(K, data):
             assert s.cohomology_dim(i) == want, i
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=50, deadline=None)
 @given(_complexes(st.one_of(_recipes, _signed_recipes)), st.integers(-3, 1),
        st.integers(1, 5), st.integers(0, 2))
 def test_cech_tables_match_the_ones_from_reference_induced_ranks(K, low, stab_bound, buffer):
     # the zero-end shortcut changes no rank, so no cell and no flag; a
-    # stab_bound below 5 leaves some cells uncertified
+    # stab_bound below 5 leaves some cells uncertified (about half the cases)
     degrees = range(low, low + 3)
     got = cech_table(K.module, K.elements, degrees, stab_bound=stab_bound, buffer=buffer)
     with pytest.MonkeyPatch.context() as mp:
