@@ -254,8 +254,8 @@ def gulliksen_periodicity_check(h: HypersurfaceData, module_over_R, h_max=12,
     """Eventual 2-periodicity of Betti numbers over the hypersurface.
 
     Reports the degree-raising operator bookkeeping (codegree d + 2), the
-    onset of periodicity, and the vanishing of the differences
-    b[i] - b[i-2] beyond the onset (the finite-difference certificate).
+    onset of periodicity (the first o with b[i] = b[i-2] for all i >= o + 2)
+    and differences_vanish, the finite-difference certificate: an onset.
     """
     res = minimal_resolution(module_over_R, h_max=h_max, codegree_max=codegree_max)
     b = res.betti.totals()
@@ -271,8 +271,7 @@ def gulliksen_periodicity_check(h: HypersurfaceData, module_over_R, h_max=12,
         "betti": b,
         "onset": onset,
         "period": 2 if onset is not None else None,
-        "differences_vanish": onset is not None and
-            all(b[i] - b[i - 2] == 0 for i in range(onset + 2, len(b))),
+        "differences_vanish": onset is not None,
     }
     if onset is None:
         report["inconclusive"] = True

@@ -13,9 +13,9 @@ complex of localcoh is the colimit of these transitions.  Every map is
 kept as its columns in the field's vector format, shifted to the offsets
 of their target summands.  Each block of columns is one call of
 GradedModule.images, which multiplies the power into the whole source
-basis of each slot in one batch (rings.RingComponent.products);
-ranks come from eliminating those columns, so no map is ever turned into
-rows.
+basis of each slot in one batch, signed by FreeModule.left_action so that
+it acts on the left; ranks come from eliminating those columns, so no
+map is ever turned into rows.
 
 The Koszul chain complex has K_i = sum_{|S| = i} M(-sum_{j in S} |a_j|)
 and a differential that removes one index.  It is self-dual: chain degree
@@ -82,9 +82,9 @@ class KoszulComplex:
                                    else self.ring.pconst(1))
             p, M = self._powers[e], self.module
             # GradedModule.mult_columns, with the codegree of a^e known
-            self._blocks[e, m] = M.images(
-                M.component(m).basis, M.free.scalar_columns(p),
-                m + sum(map(mul, e, self.codegrees))) if p else None
+            basis, d = M.component(m).basis, sum(map(mul, e, self.codegrees))
+            self._blocks[e, m] = M.free.left_action(
+                basis, M.images(basis, M.free.scalar_columns(p), m + d), d, m) if p else None
         return self._blocks[e, m]
 
     def drop_below(self, m):

@@ -159,12 +159,18 @@ def _dual_complex(resolution):
 def ext_dims(module, h_max=None, codegree_max=48):
     """dims[j][m] of Ext^j(M, P) over a polynomial ring P, P as target.
 
-    Only valid over rings without relations, where minimal resolutions
-    are finite; raises otherwise.
+    Only valid over rings without relations and without odd-signed
+    generators (which square to zero), where minimal resolutions are
+    finite; raises otherwise.
     """
     ring = module.ring
     if not ring.is_polynomial():
         raise LocalCohomologyError("Ext duality needs a polynomial base ring")
+    odd = [name for (name, _), is_odd in zip(ring.gens, ring.odd) if is_odd]
+    if odd:
+        raise LocalCohomologyError(
+            f"Ext duality needs a polynomial base ring: generator {odd[0]} has odd "
+            f"codegree in characteristic {ring.field.char} and squares to zero")
     d = ring.ngens
     if h_max is None:
         h_max = d + 1  # one past the projective dimension bound, to witness the zero kernel
@@ -187,7 +193,8 @@ def ext_dims(module, h_max=None, codegree_max=48):
 
 
 def duality_table(module, degrees=None) -> CohomologyTable:
-    """Local cohomology at the irrelevant ideal via graded duality."""
+    """Local cohomology at the irrelevant ideal via graded duality, over
+    the polynomial rings that ext_dims accepts."""
     ring = module.ring
     if degrees is None:
         degrees = range(-20, 21)

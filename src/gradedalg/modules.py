@@ -12,6 +12,10 @@ codegree.
 
 A polynomial vector is a {slot: nonzero poly} dict, and a map of free
 modules the list of its columns, so a map costs its nonzero entries.
+
+A ring element acts on the left of a module.  Products come from one
+route, rings.RingComponent.products, as columns b * p, and
+FreeModule.left_action is the one place they get the sign of p * b.
 """
 
 from __future__ import annotations
@@ -111,6 +115,34 @@ class FreeModule:
                 cols = [0] * len(monos) if packed else [{} for _ in monos]
             out.extend(cols)
         return out
+
+    def left_action(self, pairs, cols, d, n):
+        """The columns of p * (b e_s) for each basis vector (s, b) of pairs,
+        at codegree n, from cols[k] = (b * p) e_s, p of codegree d:
+        p * (b e_s) = (-1)^(d |b|) (b * p) e_s with |b| = n - shift_s.
+        Only an odd-signed p negates, in the slots where |b| is odd, so
+        over GF(2) and for an even p the columns come back as they are."""
+        ring = self.ring
+        if not (ring.signed and d % 2):
+            return cols
+        neg = ring.field.neg
+        return [{k: neg(x) for k, x in c.items()} if (n - self.shifts[s]) % 2 else c
+                for (s, _), c in zip(pairs, cols)]
+
+    def generator_columns(self, j, a):
+        """x_j times each basis vector of codegree a, as coordinates at
+        codegree a + |x_j|: per slot the ring's generator_products at its
+        offset, with the sign of left_action."""
+        ring = self.ring
+        d = ring.codegrees[j]
+        cols = []
+        for s, off in zip(self.shifts, self.offsets(a + d)):
+            part = ring.generator_products(j, a - s)
+            if off:
+                part = ([v << off for v in part] if ring.field.packed
+                        else [{off + k: x for k, x in v.items()} for v in part])
+            cols.extend(part)
+        return self.left_action(self.basis(a), cols, d, a)
 
     def scalar_columns(self, poly):
         """The columns of poly times the identity: {j: poly} for each j."""
@@ -279,14 +311,24 @@ class GradedModule:
         coordinates at codegree n."""
         return self.free.element_of(self.component(n).lift(coords), n)
 
+    def generator_columns(self, j, a):
+        """x_j times each basis vector of M_a, in the quotient coordinates
+        of M_(a+|x_j|): the free module's generator_columns at the basis
+        positions, reduced."""
+        cols = self.free.generator_columns(j, a)
+        return self.component(a + self.ring.codegrees[j]).reduce_all(
+            [cols[c] for c in self.component(a).positions])
+
     def mult_columns(self, poly, n):
         """Multiplication by a homogeneous polynomial, M^n -> M^(n+|poly|),
-        as its columns: the image of each basis vector of M^n in the
-        quotient coordinates of M^(n+|poly|), in the field's format.  The
-        basis vectors of each slot are multiplied in one batch (see
-        images)."""
-        return self.images(self.component(n).basis, self.free.scalar_columns(poly),
-                           n + self.ring.poly_codegree(poly))
+        as its columns: poly times each basis vector of M^n, acting on the
+        left (FreeModule.left_action), in the quotient coordinates of
+        M^(n+|poly|) and the field's format.  The basis vectors of each
+        slot are multiplied in one batch (see images)."""
+        d = self.ring.poly_codegree(poly)
+        basis = self.component(n).basis
+        return self.free.left_action(
+            basis, self.images(basis, self.free.scalar_columns(poly), n + d), d, n)
 
     def mult_matrix(self, poly, n) -> Matrix:
         """Multiplication by a homogeneous polynomial: M^n -> M^(n+|poly|)."""
@@ -302,8 +344,8 @@ class ModuleComponent:
         self.n = n
         self.free_basis = free_basis
         self._span = span
-        nonpivots = span.nonpivot_columns()
-        self.basis = [free_basis[c] for c in nonpivots]
+        self.positions = span.nonpivot_columns()  # the basis in free coordinates
+        self.basis = [free_basis[c] for c in self.positions]
         self.dim = len(self.basis)
 
     def reduce(self, free_coords):
@@ -320,10 +362,9 @@ class ModuleComponent:
     def lift(self, coords):
         """Quotient coordinates -> a representative in free coordinates,
         both in the field's format."""
-        nonpivots = self._span.nonpivot_columns()
         if isinstance(coords, int):
             out = 0
             for k in bits(coords):
-                out |= 1 << nonpivots[k]
+                out |= 1 << self.positions[k]
             return out
-        return {nonpivots[k]: x for k, x in coords.items()}
+        return {self.positions[k]: x for k, x in coords.items()}

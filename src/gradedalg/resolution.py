@@ -90,46 +90,6 @@ class Resolution:
         return True
 
 
-class _GeneratorProducts(dict):
-    """x_i times the basis vectors of a free module at codegree n - |x_i|,
-    as coordinates at codegree n, keyed by basis position and each built
-    on its first lookup, so combine(field, products, v) is x_i * v.
-
-    The ring's generator table gives b * x_i, and x_i * b is
-    (-1)^(|x_i| |b|) b * x_i: an odd generator (in characteristic other
-    than 2) negates the images of the odd monomials.
-    """
-
-    __slots__ = ("source", "i", "n", "basis", "slots")
-
-    def __init__(self, source: FreeModule, i, n):
-        super().__init__()
-        self.source, self.i, self.n = source, i, n
-        self.basis = source.basis(n - source.ring.codegrees[i])
-        self.slots = {}  # slot -> (offset at n, generator table, negate)
-
-    def __missing__(self, k):
-        ring = self.source.ring
-        s, b = self.basis[k]
-        part = self.slots.get(s)
-        if part is None:
-            a = self.n - ring.codegrees[self.i] - self.source.shifts[s]
-            part = self.slots[s] = (self.source.offsets(self.n)[s],
-                                    ring.generator_table(self.i, a),
-                                    ring.odd[self.i] and a % 2 == 1)
-        offset, table, negate = part
-        coords = table[b]
-        if ring.field.packed:
-            w = coords << offset
-        elif negate:
-            neg = ring.field.neg
-            w = {offset + c: neg(x) for c, x in coords.items()}
-        else:
-            w = {offset + c: x for c, x in coords.items()}
-        self[k] = w
-        return w
-
-
 def _kernel_generators(ambient, diff, dims, top):
     """Minimal generators of a graded submodule K of ambient, codegrees up
     to top: K = M itself when ambient is the module M and diff is None,
@@ -140,6 +100,9 @@ def _kernel_generators(ambient, diff, dims, top):
     short are vectors spanning K_n read (the unit vectors of M_n, or the
     kernel basis of diff.matrix_at(n)), and those that enlarge the span
     become the generators.  Returns them as (codegree, coordinate vector).
+
+    At every stage, on M or a free module, x_j * v is
+    combine(F, ambient.generator_columns(j, a), v): x_j acts on the left.
     """
     ring = ambient.ring
     F = ring.field
@@ -159,10 +122,7 @@ def _kernel_generators(ambient, diff, dims, top):
             lower = bases.get(a)
             if span.dim == want or not lower:
                 continue
-            # x_j times ambient's basis at a, by position; M's multiplication
-            # columns span x_j * M_a whichever side x_j multiplies from
-            products = (ambient.mult_columns(ring.gen_poly(j), a) if diff is None
-                        else _GeneratorProducts(ambient, j, n))
+            products = ambient.generator_columns(j, a)
             for v in lower:
                 w = combine(F, products, v)
                 if span.insert(w):

@@ -28,10 +28,11 @@ RingComponent.columns is the one product route: a polynomial p times a
 batch of monomials b, as the columns of each b * p.  It gives the
 Macaulay rows, and through RingComponent.products, which reduces them
 where relations reach, the coordinates of module images, multiplication
-columns, reduce_poly and the times-table entries.  Coordinates in a
-component's basis are vectors in the field's format (see linalg): over
-GF(2) packed ints, bit k for basis position k; over every other field
-sparse {position: value} dicts.
+columns, reduce_poly and GradedRing.generator_products, b always on
+the left (modules.FreeModule.left_action signs them to act on modules).
+Coordinates in a component's basis are vectors in the field's format
+(see linalg): over GF(2) packed ints, bit k for basis position k; over
+every other field sparse {position: value} dicts.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ class GradedRing:
         self._suffix_cache = {}  # (generator index, codegree) -> monomial suffixes
         self._code_cache = {}    # (generator index, codegree, field width) -> codes
         self._component_cache = {}
-        self._generator_tables = {}  # (generator, codegree) -> _TimesTable
+        self._generator_products = {}  # (generator, codegree) -> columns
         self.relations = []
         for rel in (relations or []):
             rel = self._validated_poly(rel)
@@ -263,22 +264,21 @@ class GradedRing:
             self._component_cache[n] = RingComponent(self, n)
         return self._component_cache[n]
 
-    def generator_table(self, i, a):
-        """{b: coordinates in R_(a+|x_i|) of b * x_i} for the basis
-        monomials b of R_a, each entry computed on its first lookup by
-        RingComponent.products, for callers that read single products
-        (resolution._GeneratorProducts).  Batches of products, such as
-        FreeModule.images, call products directly.
+    def generator_products(self, i, a):
+        """The coordinates in R_(a+|x_i|) of b * x_i for each basis
+        monomial b of R_a, in basis order: one RingComponent.products
+        batch, made once and kept on the ring for every module and
+        resolution stage over it.
 
-        b multiplies on the left, which fixes the signs of odd generators.
-        The table is made once and kept on the ring, for every resolution
-        stage over it to reuse.
+        b multiplies on the left, as in every product of RingComponent;
+        FreeModule.left_action turns these columns into x_i * b.
         """
-        table = self._generator_tables.get((i, a))
-        if table is None:
-            table = self._generator_tables[i, a] = _TimesTable(
-                self.gen_poly(i), self.component(a + self.codegrees[i]))
-        return table
+        cols = self._generator_products.get((i, a))
+        if cols is None:
+            target = self.component(a + self.codegrees[i])
+            cols = self._generator_products[i, a] = target.products(
+                self.component(a).basis, target.terms(self.gen_poly(i)))
+        return cols
 
     def dim(self, n):
         return self.component(n).dim
@@ -296,20 +296,6 @@ class GradedRing:
     def __repr__(self):
         gens = ", ".join(f"{n}[{d}]" for n, d in self.gens)
         return f"GradedRing({self.field!r}; {gens}; {len(self.relations)} relations)"
-
-
-class _TimesTable(dict):
-    """GradedRing.generator_table: b -> coordinates of b * x_i, filled on lookup."""
-
-    __slots__ = ("target", "terms")
-
-    def __init__(self, p, target):
-        super().__init__()
-        self.target, self.terms = target, target.terms(p)
-
-    def __missing__(self, b):
-        coords = self[b] = self.target.products([b], self.terms)[0]
-        return coords
 
 
 class RingComponent:

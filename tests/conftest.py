@@ -45,3 +45,16 @@ def densified(field, vec, n):
     z = field.zero()
     assert all(0 <= c < n and x != z for c, x in vec.items()), (vec, n)
     return [vec.get(c, z) for c in range(n)]
+
+
+def left_action_reference(module, p, n):
+    """p times each basis vector (s, b) of module in codegree n, with p on
+    the left: ring.pmul(p, b) in slot s, placed by the free module's
+    coords_of and reduced in module codegree n + |p|.  The reference for
+    the one side convention of the module products."""
+    ring, free = module.ring, module.free
+    m = n + ring.poly_codegree(p)
+    target = module.component(m)
+    one = ring.field.one()
+    return [target.reduce(free.coords_of({s: ring.pmul(p, {b: one})}, m))
+            for s, b in module.component(n).basis]

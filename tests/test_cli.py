@@ -93,6 +93,14 @@ def test_localcoh_flags_uncertified_cells_and_exits_1(ring_file, capsys):
     assert data["uncertified"] == [] and [-4, 3] in data["cech"]["H^2"]
 
 
+def test_localcoh_duality_refuses_an_odd_generator(ring_file, capsys):
+    ring = {"char": 3, "vars": [{"name": "x", "codegree": 3},
+                                {"name": "y", "codegree": 2}], "relations": []}
+    assert run_cli(["localcoh", ring_file(ring), "--ideal", "x,y", "--method", "both",
+                    "--window=-8..-5"]) == 2
+    assert "generator x" in capsys.readouterr().err
+
+
 def test_localcoh_json_states_the_stopping_rule(ring_file, capsys):
     path = ring_file(RING_KX)
     assert run_cli(["localcoh", path, "--ideal", "x", "--window=-4..1",

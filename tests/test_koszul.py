@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import left_action_reference
 from gradedalg.fields import PrimeField, Rationals
 from gradedalg.koszul import KoszulComplex, KoszulError, koszul_homology, is_regular_sequence
 from gradedalg.linalg import Matrix, RowSpace, combine, unit_vector
@@ -92,6 +93,24 @@ def test_koszul_homology_of_residue_field_is_exterior():
     assert h[0][0] == 1 and h[1][1] == 2 and h[2][2] == 1
 
 
+
+def test_mixed_parity_generators_take_the_left_action():
+    # M over GF(3)[x, y, z], x and y odd, generated in codegrees 0, 1, 1:
+    # a product b * p in place of p * b flips the sign of an odd p in the
+    # odd slots only, which gave H_1(6) = 0 and H_2(6) = 1
+    ring = ring_with_relations(PrimeField(3), [("x", 1), ("y", 1), ("z", 2)], [])
+    P = lambda src: parse_poly(src, ring)
+    module = GradedModule(ring, [0, 1, 1], [[P("2*x*z + 2*y*z"), P("z"), {}],
+                                           [P("2*y*z^2"), {}, {}]])
+    elements = [P("y"), P("z")]
+    h = koszul_homology(ring, elements, range(9), module)
+    assert (h[1][6], h[2][6]) == (1, 2)
+    K = KoszulComplex(ring, elements, module)
+    for n in range(9):
+        for i in range(3):
+            assert h[i][n] == _reference_homology(K, i, n), (i, n)
+
+
 _recipes = st.sampled_from([
     (F2, [("x", 1)], ["x^3"]),
     (F2, [("x", 1), ("y", 1)], []),
@@ -150,7 +169,8 @@ def _from_blocks(F, row_sizes, col_sizes, blocks):
 def _reference_chain(K, n):
     """The Koszul chain complex in codegree n, built directly: the subset S
     shifts M by the codegrees of its elements, and d_i removes the element
-    at position p of S with sign (-1)^p.  Returns (term dims, {i: d_i})."""
+    at position p of S with sign (-1)^p, the element acting on the left of
+    M by ring.pmul.  Returns (term dims, {i: d_i})."""
     shifts = [[sum(K.codegrees[j] for j in S) for S in K.subsets[i]]
               for i in range(K.c + 1)]
     sizes = [[K.module.dim(n - s) for s in row] for row in shifts]
@@ -161,8 +181,9 @@ def _reference_chain(K, n):
         for k, (S, s) in enumerate(zip(K.subsets[i], shifts[i])):
             for pos, l in enumerate(S):
                 T = tuple(x for x in S if x != l)
-                blocks[tgt_index[T], k] = (
-                    -1 if pos % 2 else 1, K.module.mult_matrix(K.elements[l], n - s))
+                blocks[tgt_index[T], k] = (-1 if pos % 2 else 1, Matrix.from_columns(
+                    K.ring.field, left_action_reference(K.module, K.elements[l], n - s),
+                    K.module.dim(n - s + K.codegrees[l])))
         diffs[i] = _from_blocks(K.ring.field, sizes[i - 1], sizes[i], blocks)
     return [sum(row) for row in sizes], diffs
 

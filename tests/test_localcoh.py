@@ -1,7 +1,8 @@
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from gradedalg.fields import PrimeField, Rationals
-from gradedalg.localcoh import (cech_table, duality_table, ext_dims,
+from gradedalg.localcoh import (LocalCohomologyError, cech_table, duality_table, ext_dims,
                                 grothendieck_vanishing_check,
                                 radical_invariance_check,
                                 gorenstein_duality_check)
@@ -143,3 +144,16 @@ def test_duality_window_covers_the_relations():
     # 0 <= a < 30, b >= 1 and a - b = n
     assert [table.dim(1, n) for n in range(-4, 3)] == [30, 30, 30, 30, 29, 28, 27]
     assert all(table.dim(0, n) == 0 for n in range(-4, 3))
+
+
+def test_duality_refuses_odd_generators_outside_characteristic_two():
+    # over GF(3) x of codegree 3 squares to zero, so k[x, y] is not
+    # polynomial: the duality route gave H^2 = 1 at -8, -7 and -5, where
+    # Cech gives H^1 = 1 at -8..-5 (R_y / R)
+    ring = ring_with_relations(PrimeField(3), [("x", 3), ("y", 2)], [])
+    m = GradedModule.ring_as_module(ring)
+    for call in (lambda: ext_dims(m), lambda: duality_table(m, range(-8, -4))):
+        with pytest.raises(LocalCohomologyError, match="generator x"):
+            call()
+    table = cech_table(m, [parse_poly("x", ring), parse_poly("y", ring)], range(-8, -4))
+    assert [table.dim(1, n) for n in range(-8, -4)] == [1, 1, 1, 1]

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import left_action_reference
 from gradedalg.fields import ExtensionField, PrimeField, Rationals
 from gradedalg.linalg import Matrix, bits
 from gradedalg.modules import FreeModule, PolyMatrix, GradedModule
@@ -406,9 +407,42 @@ def test_batched_images_match_the_per_pair_loop(case, data):
             assert module.images(ps, columns, n) == [comp.reduce(v) for v in reference]
     if not p:
         return
-    d = ring.poly_codegree(p)
+    # p acts on the left: p * (b e_s), not the images of b * p
     for m in range(-1, 5):
-        reference = _per_pair_images(free, module.component(m).basis,
-                                     free.scalar_columns(p), m + d)
-        target = module.component(m + d)
-        assert module.mult_columns(p, m) == [target.reduce(v) for v in reference]
+        assert module.mult_columns(p, m) == left_action_reference(module, p, m)
+
+
+@st.composite
+def _mixed_parity_modules(draw):
+    """A module over a signed GF(3) or QQ ring whose generators have both
+    parities, up to two relation columns, and a polynomial p of odd or
+    even codegree."""
+    field, gens, rels = draw(st.one_of(_signed_recipes, st.sampled_from([
+        (PrimeField(3), [("x", 1), ("y", 1), ("z", 2)], ["z^2"]),
+        (Rationals(), [("x", 1), ("y", 3), ("z", 2)], ["x*z"]),
+    ])))
+    ring = ring_with_relations(field, gens, rels)
+    shifts = [2 * draw(st.integers(0, 1)), 2 * draw(st.integers(0, 1)) + 1]
+    shifts += draw(st.lists(st.integers(0, 3), max_size=1))
+    shifts = draw(st.permutations(shifts))
+    relation_columns = []
+    for _ in range(draw(st.integers(0, 2))):
+        d = draw(st.integers(max(shifts), max(shifts) + 3))
+        relation_columns.append([_scalar_poly(draw, ring, d - s) for s in shifts])
+    p = _scalar_poly(draw, ring, draw(st.integers(1, 3)))
+    return GradedModule(ring, shifts, relation_columns), p
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mixed_parity_modules())
+def test_mult_columns_act_on_the_left_over_mixed_parities(case):
+    # in slots of opposite parity b * p and p * b differ by opposite signs
+    # when p is odd, so the b * p columns would span another submodule
+    module, p = case
+    ring = module.ring
+    for m in range(-1, 6):
+        if p:
+            assert module.mult_columns(p, m) == left_action_reference(module, p, m)
+        for j in range(ring.ngens):
+            assert module.generator_columns(j, m) == left_action_reference(
+                module, ring.gen_poly(j), m)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from gradedalg import resolution
 from gradedalg.fields import PrimeField, Rationals
 from gradedalg.linalg import RowSpace, combine, unit_vector
-from gradedalg.modules import GradedModule, PolyMatrix
+from gradedalg.modules import FreeModule, GradedModule, PolyMatrix
 from gradedalg.parsing import parse_poly, ring_with_relations
 from gradedalg.presets import get_preset
 from gradedalg.resolution import (minimal_resolution, ext_growth_class,
@@ -323,6 +323,78 @@ _any_module = st.one_of(_ring_recipes.map(lambda r: _residue_field((F2, *r))),
                         _signed_recipes.map(_residue_field),
                         _modules(_polynomial_recipes), _modules(_signed_recipes))
 
+
+
+class _GeneratorTable(dict):
+    """b -> coordinates in R_(a+|x_i|) of b * x_i for basis monomials b
+    of R_a, each entry computed on its first lookup from mono_times_poly:
+    the lazy generator table that the resolution read before the batched
+    generator products, kept as the reference."""
+
+    def __init__(self, ring, i, a):
+        super().__init__()
+        self.ring, self.x = ring, ring.gen_poly(i)
+        self.target = ring.component(a + ring.codegrees[i])
+
+    def __missing__(self, b):
+        coords = self[b] = self.target.reduce_poly(self.ring.mono_times_poly(b, self.x))
+        return coords
+
+
+class _GeneratorProducts(dict):
+    """x_i times the basis vectors of a free module at codegree n - |x_i|,
+    as coordinates at codegree n, keyed by basis position and each built
+    on its first lookup: the resolution's product route before
+    FreeModule.generator_columns, kept as the reference.
+
+    The table gives b * x_i, and x_i * b is (-1)^(|x_i| |b|) b * x_i: an
+    odd generator (in characteristic other than 2) negates the images of
+    the odd monomials.
+    """
+
+    def __init__(self, source, i, n):
+        super().__init__()
+        self.source, self.i, self.n = source, i, n
+        self.basis = source.basis(n - source.ring.codegrees[i])
+        self.slots = {}  # slot -> (offset at n, generator table, negate)
+
+    def __missing__(self, k):
+        ring = self.source.ring
+        s, b = self.basis[k]
+        part = self.slots.get(s)
+        if part is None:
+            a = self.n - ring.codegrees[self.i] - self.source.shifts[s]
+            part = self.slots[s] = (self.source.offsets(self.n)[s],
+                                    _GeneratorTable(ring, self.i, a),
+                                    ring.odd[self.i] and a % 2 == 1)
+        offset, table, negate = part
+        coords = table[b]
+        if ring.field.packed:
+            w = coords << offset
+        elif negate:
+            neg = ring.field.neg
+            w = {offset + c: neg(x) for c, x in coords.items()}
+        else:
+            w = {offset + c: x for c, x in coords.items()}
+        self[k] = w
+        return w
+
+
+@settings(max_examples=150, deadline=None)
+@given(_any_module, st.lists(st.integers(-1, 2), min_size=1, max_size=3))
+def test_generator_columns_match_the_lazy_generator_products(module, shifts):
+    # the batched columns of a free module, and of M at its basis
+    # positions, reduced, are the reference's entries position by position
+    ring = module.ring
+    free = FreeModule(ring, shifts)
+    for j, d in enumerate(ring.codegrees):
+        for a in range(-1, 6):
+            ref = _GeneratorProducts(free, j, a + d)
+            assert free.generator_columns(j, a) == [ref[k] for k in range(free.dim(a))]
+            ref = _GeneratorProducts(module.free, j, a + d)
+            target = module.component(a + d)
+            assert module.generator_columns(j, a) == [
+                target.reduce(ref[c]) for c in module.component(a).positions]
 
 @settings(max_examples=200, deadline=None)
 @given(_any_module, st.integers(4, 7))

@@ -90,9 +90,9 @@ def test_sd16_hilbert_prefix_at_macaulay_scale():
 
 
 def _table_matrix(ring, i, a):
-    """Multiplication by generator i, R_a -> R_(a + |x_i|), from its table."""
-    table = ring.generator_table(i, a)
-    return Matrix.from_columns(ring.field, [table[b] for b in ring.component(a).basis],
+    """Multiplication by generator i, R_a -> R_(a + |x_i|), b * x_i for
+    each basis monomial b, from the ring's generator products."""
+    return Matrix.from_columns(ring.field, ring.generator_products(i, a),
                                ring.dim(a + ring.codegrees[i]))
 
 
@@ -108,17 +108,14 @@ def test_generator_tables_match_products_column_by_column(name):
     for i, d in enumerate(ring.codegrees):
         x = ring.gen_poly(i)
         for a in range(11):
-            table = ring.generator_table(i, a)
-            assert ring.generator_table(i, a) is table  # cached on the ring
-            assert not table  # entries are computed on lookup
+            cols = ring.generator_products(i, a)
+            assert ring.generator_products(i, a) is cols  # cached on the ring
             target = ring.component(a + d)
-            for b in ring.component(a).basis:
-                assert table[b] == target.reduce_poly(ring.mono_times_poly(b, x))
-            assert list(table) == ring.component(a).basis
-    table, b = ring.generator_table(0, 11), ring.component(11).basis[-1]
-    assert table[b] == ring.component(11 + ring.codegrees[0]).reduce_poly(
+            assert cols == [target.reduce_poly(ring.mono_times_poly(b, x))
+                            for b in ring.component(a).basis]
+    cols, b = ring.generator_products(0, 11), ring.component(11).basis[-1]
+    assert cols[-1] == ring.component(11 + ring.codegrees[0]).reduce_poly(
         ring.mono_times_poly(b, ring.gen_poly(0)))
-    assert list(table) == [b]  # only the product looked up was computed
     # other polynomials go through the batched kernel of their target
     square = ring.pmul(ring.gen_poly(0), ring.gen_poly(0))
     target, b = ring.component(2 + 2 * ring.codegrees[0]), ring.component(2).basis[-1]
@@ -130,8 +127,9 @@ def test_generator_tables_multiply_with_the_monomial_on_the_left():
     ring = _ring("exterior")
     one, minus_one = ring.field.one(), ring.field.from_int(-1)
     ef = ring.component(4).basis.index((1, 1, 0))
-    assert ring.generator_table(1, 1)[(1, 0, 0)] == {ef: one}        # e * f
-    assert ring.generator_table(0, 3)[(0, 1, 0)] == {ef: minus_one}  # f * e
+    e, f = ring.component(1).basis.index((1, 0, 0)), ring.component(3).basis.index((0, 1, 0))
+    assert ring.generator_products(1, 1)[e] == {ef: one}        # e * f
+    assert ring.generator_products(0, 3)[f] == {ef: minus_one}  # f * e
 
 
 @pytest.mark.parametrize("name", ["a4_ring", "sd16", "rational_x", "exterior"])
@@ -418,7 +416,8 @@ def test_code_width_grows_with_the_codegree(field):
         assert ring.component(n).basis == _reference_component(ring, n)[0]
     assert ring.dim(8) == 1 and ring.component(8).basis == [(1, 0)]
     minus_one = field.neg(field.one())
-    assert densified(field, ring.generator_table(1, 6)[(0, 3)], 1) == [minus_one]  # y^4 = -x
+    y3 = ring.component(6).basis.index((0, 3))
+    assert densified(field, ring.generator_products(1, 6)[y3], 1) == [minus_one]  # y^4 = -x
     assert densified(field, ring.component(8).reduce_poly({(0, 4): field.one()}), 1) == [
         minus_one]
 
@@ -432,5 +431,4 @@ def test_unsigned_rings_never_multiply_exponent_tuples(monkeypatch):
         monkeypatch.setattr(ring, "mono_times_poly", refuse)
         assert ring.hilbert_prefix(12) == [ring.dim(n) for n in range(13)]
         for i in range(ring.ngens):
-            table = ring.generator_table(i, 6)
-            assert [table[b] for b in ring.component(6).basis]
+            assert ring.generator_products(i, 6)
