@@ -207,7 +207,11 @@ def _cmd_localcoh(args):
                           for cell, ok in table.certified.items() if not ok})
     report["uncertified"] = [list(cell) for cell in uncertified]
     # what a certified Cech cell rests on; duality cells are exact
-    report["stopping_rule"] = tables["cech"].stopping_rule if "cech" in tables else None
+    rule = report["stopping_rule"] = tables["cech"].stopping_rule if "cech" in tables else None
+    if rule:
+        report["lines"].append(
+            f"stopping rule: window {rule['window']}, stab_bound {rule['stab_bound']}; "
+            f"regular sequence: {'certified' if rule['regular_sequence'] else 'not certified'}")
     if uncertified:
         report["lines"].append("uncertified (i,n), marked ?: " +
                                " ".join(f"({i},{n})" for i, n in uncertified))

@@ -2,7 +2,7 @@
 
 RowSpace is the one elimination kernel: ring and module components,
 resolution kernels, Koszul and Cech ranks (by columns) and Matrix's
-rref, rank, kernel_basis, image_basis and solve all reduce through it.
+rref, rank, kernel_basis and solve all reduce through it.
 
 The field chooses one vector format for the whole library: ring and
 module coordinates, Matrix and RowSpace rows, kernel vectors and
@@ -235,11 +235,6 @@ class Matrix:
                 for fc, x in space.row(p).items():
                     basis[fc][p] = F.neg(x)
         return list(basis.values())
-
-    def image_basis(self):
-        """Columns of the matrix forming a basis of the column space."""
-        _, pivots = self._eliminated()
-        return [self.column(c) for c in pivots]
 
     def solve(self, b):
         """One solution x of Ax = b, as a list, or None if inconsistent; b

@@ -19,6 +19,18 @@ H^i of the low slice to H^i of the high one, so its rank is at most the
 smaller of the two dimensions, term - rank out - rank in of each slice's
 own differentials.  Where either is zero the rank is 0 and T is never
 built; every rank, so every cell and flag, is the one W would give.
+Where the KoszulComplex certifies the elements a regular sequence on M
+(KoszulComplex.regular: M free over a polynomial ring in c variables and
+R/(a) of finite length) no rank is eliminated at all.  H^i of every
+slice is 0 for i < c and its term dimensions give H^c, and T is injective
+on H^c: M/(a^s)M -> M/(a^t)M is multiplication by the gap powers, and
+raising one exponent at a time it is injective because a_1 is regular on
+M/(a_2^(s_2), ..., a_c^(s_c))M (homogeneous regular sequences are
+permutable).  So the rank of each step is dim H^c of its low slice, and
+a certified table builds no differential, block, power or transition.
+The stopping rule runs on the same ranks, so the cells and flags are
+those of the rank route; stopping_rule["regular_sequence"] says whether
+the certificate held.
 
 duality_table computes the same dimensions through graded duality over
 a polynomial subring: H^i in codegree n has the dimension of
@@ -44,9 +56,10 @@ class CohomologyTable:
         self.degrees = list(degrees)
         self.top = top            # largest homological index carried
         self.method = method
-        self.dims = {}            # (i, n) -> dimension
+        self.dims = {}            # (i, n) -> dimension of H^i in codegree n
         self.certified = {}       # (i, n) -> bool (rank window stabilized)
-        self.stopping_rule = stopping_rule  # Cech: {"window": .., "stab_bound": ..}
+        # Cech: {"window": .., "stab_bound": .., "regular_sequence": ..}
+        self.stopping_rule = stopping_rule
 
     def dim(self, i, n):
         return self.dims.get((i, n), 0)
@@ -71,7 +84,10 @@ def _induced_rank(low, high, i):
     """Rank of the map on degree-i cohomology induced by the transition T:
     dim W - #pivots below r - #coboundary pivots (see the module docstring).
     It is at most dim H^i at either end, so where one is zero it is 0 and
-    nothing of T is built; the low end is tested first."""
+    nothing of T is built; the low end is tested first.  On a certified
+    regular sequence T is injective on H^c, so the rank is low's dim H^i."""
+    if low.K.regular:
+        return low.cohomology_dim(i)
     if not low.cohomology_dim(i) or not high.cohomology_dim(i):
         return 0
     F = low.K.ring.field
@@ -88,14 +104,17 @@ def _induced_rank(low, high, i):
 
 def cech_table(module, elements, degrees=None, stab_bound=16, buffer=8,
                window=3) -> CohomologyTable:
-    """Degreewise local cohomology at the ideal the elements generate.
+    """Degreewise local cohomology at the ideal the elements generate, in
+    each codegree n of degrees (over GF(2)[x], H^1 at (x) is 1 at n < 0).
 
     Each cell is the rank of the composite transition across two level
     steps, and it is marked certified once `window` consecutive level
     steps give equal ranks.  That is a stopping rule, not a proof that
     the colimit has stabilized.  Cells that never reach it inside
     stab_bound are reported with their last rank and certified=False.
-    The table's stopping_rule records window and stab_bound.
+    The table's stopping_rule records window, stab_bound and whether the
+    elements were certified a regular sequence on the module, whose ranks
+    come from term dimensions (see the module docstring).
 
     A step whose H^i is zero at the low or the high level has rank 0,
     as no map out of or into a zero space has more, so its transition
@@ -117,7 +136,8 @@ def cech_table(module, elements, degrees=None, stab_bound=16, buffer=8,
         degrees = range(-20, 21)
     degrees = list(degrees)
     table = CohomologyTable(degrees, K.c, "cech",
-                            {"window": window, "stab_bound": stab_bound})
+                            {"window": window, "stab_bound": stab_bound,
+                             "regular_sequence": K.regular})
 
     for k, n in enumerate(degrees):
         base = [max(1, -((n - buffer) // d)) for d in K.codegrees]

@@ -106,9 +106,16 @@ def test_localcoh_json_states_the_stopping_rule(ring_file, capsys):
     assert run_cli(["localcoh", path, "--ideal", "x", "--window=-4..1",
                     "--stab-bound", "7", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
-    assert data["stopping_rule"] == {"window": 3, "stab_bound": 7}
+    assert data["stopping_rule"] == {"window": 3, "stab_bound": 7, "regular_sequence": True}
     assert run_cli(["localcoh", path, "--ideal", "x", "--window=-4..1", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["stopping_rule"]["stab_bound"] == 16
+    assert run_cli(["localcoh", path, "--ideal", "x", "--window=-4..1"]) == 0
+    assert ("stopping rule: window 3, stab_bound 16; regular sequence: certified"
+            in capsys.readouterr().out)
+    # x is a zero divisor of GF(2)[x]/(x^2): the ranks are eliminated
+    assert run_cli(["localcoh", ring_file(RING_KX2, "kx2.json"), "--ideal", "x",
+                    "--window=-4..1", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["stopping_rule"]["regular_sequence"] is False
     # duality is exact: no stopping rule stands behind its cells
     assert run_cli(["localcoh", path, "--ideal", "x", "--window=-4..1",
                     "--method", "duality", "--json"]) == 0

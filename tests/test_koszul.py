@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import left_action_reference
+from gradedalg import koszul
 from gradedalg.fields import PrimeField, Rationals
 from gradedalg.koszul import KoszulComplex, KoszulError, koszul_homology, is_regular_sequence
 from gradedalg.linalg import Matrix, RowSpace, combine, unit_vector
@@ -9,6 +10,7 @@ from gradedalg import localcoh
 from gradedalg.localcoh import LocalCohomologyError, _induced_rank, cech_table
 from gradedalg.modules import GradedModule
 from gradedalg.parsing import parse_poly, ring_with_relations
+from gradedalg.presets import get_preset
 
 F2 = PrimeField(2)
 
@@ -391,3 +393,128 @@ def test_one_cech_table_builds_each_multiplication_block_once(monkeypatch):
                 calls.clear()
                 cech_table(module, elements, degrees, stab_bound=6)
                 assert calls == first
+
+
+# -- the regular-sequence certificate ---------------------------------------
+
+def _polynomial_ring(field, codegrees):
+    return ring_with_relations(field, [(f"x{i}", d) for i, d in enumerate(codegrees)], [])
+
+
+def test_regular_certificate_holds_on_a_system_of_parameters():
+    ring = _polynomial_ring(F2, [1, 1])
+    free = GradedModule(ring, [0, 2, -1])
+    # (x0*x1, x0 + x1) contains x0^2 = x0*(x0 + x1) + x0*x1, so it is m-primary
+    for elements in (["x0", "x1"], ["x0^2 + x1^2", "x0*x1"], ["x0*x1", "x0 + x1"],
+                     ["x1^3", "x0^2"]):
+        assert KoszulComplex(ring, [parse_poly(e, ring) for e in elements], free).regular
+    ring3 = _polynomial_ring(PrimeField(3), [2, 4])
+    assert KoszulComplex(ring3, [parse_poly(e, ring3) for e in ("x1 + x0^2", "x0^3")]).regular
+
+
+def test_regular_certificate_refuses_every_other_case():
+    kxy = _polynomial_ring(F2, [1, 1])
+    cases = [
+        # a relation: R is no polynomial ring
+        (ring_with_relations(F2, [("x0", 1), ("x1", 1)], ["x0^3"]), [], ["x0", "x1"]),
+        # an odd-signed generator squares to zero over GF(3) and QQ
+        (_polynomial_ring(PrimeField(3), [1, 2]), [], ["x0", "x1"]),
+        (_polynomial_ring(Rationals(), [2, 3]), [], ["x0", "x1"]),
+        # a relation column: M is not free
+        (kxy, ["x0^2"], ["x0", "x1"]),
+        # c != ngens
+        (kxy, [], ["x0"]),
+        (kxy, [], ["x0", "x1", "x0 + x1"]),
+        # c = ngens but the ideal is not m-primary
+        (kxy, [], ["x0", "x0"]),
+        (kxy, [], ["x0*x1", "x0^2"]),
+        (_polynomial_ring(PrimeField(3), [2, 2, 4]), [], ["x0", "x0*x1", "x2"]),
+    ]
+    for ring, col, elements in cases:
+        module = GradedModule(ring, [1], [[parse_poly(p, ring) for p in col]] if col else [])
+        K = KoszulComplex(ring, [parse_poly(e, ring) for e in elements], module)
+        assert K.regular is False, (ring, col, elements)
+
+
+@st.composite
+def _free_tables(draw):
+    """A free module over a polynomial ring, elements that are often but not
+    always a system of parameters, and the arguments of one cech_table."""
+    field = draw(st.sampled_from([F2, PrimeField(3), Rationals()]))
+    # GF(3) and QQ keep even codegrees, where the ring is strictly commutative
+    unit = 1 if field.char == 2 else 2
+    ngens = draw(st.integers(1, 3))
+    codegrees = [unit * (1 if ngens == 3 else draw(st.integers(1, 2))) for _ in range(ngens)]
+    ring = _polynomial_ring(field, codegrees)
+    one = field.one()
+    special = [["x0", "x0"]]
+    if codegrees[:2] == [unit, unit] and ngens == 2:
+        special.append(["x0*x1", "x0 + x1"])
+    kind = draw(st.sampled_from(["sop-like", "random", "special"]))
+    if kind == "special":
+        elements = [parse_poly(e, ring) for e in draw(st.sampled_from(special))]
+    else:
+        elements = []
+        # c = ngens mostly, where the certificate can hold
+        for j in range(draw(st.sampled_from([ngens, ngens, max(1, ngens - 1)]))):
+            k = draw(st.integers(1, 4 - ngens))  # slices grow fast with ngens
+            lead = ring.ppow(ring.gen_poly(j), k)
+            # x_j^k plus other terms of its codegree, or any terms of it
+            monos = ring.monomials(k * codegrees[j])
+            chosen = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=3,
+                                   unique=True))
+            element = {m: draw(st.sampled_from([one, field.neg(one)])) for m in chosen}
+            if kind == "sop-like":
+                element.update(lead)
+            elements.append(element)
+    shifts = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=2))
+    low = draw(st.integers(-4, 1))
+    return (GradedModule(ring, shifts), elements, range(low, low + 3),
+            dict(stab_bound=draw(st.integers(1, 5)), buffer=draw(st.integers(0, 3)),
+                 window=draw(st.integers(2, 3))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_free_tables())
+def test_certified_cech_tables_match_the_rank_route(args):
+    module, elements, degrees, kw = args
+    got = cech_table(module, elements, degrees, **kw)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(KoszulComplex, "regular", property(lambda self: False))
+        want = cech_table(module, elements, degrees, **kw)
+    assert got.dims == want.dims and got.certified == want.certified
+    assert want.stopping_rule["regular_sequence"] is False
+    assert got.stopping_rule["regular_sequence"] is KoszulComplex(
+        module.ring, elements, module).regular
+
+
+def _count_builds(monkeypatch):
+    """Count the differentials, blocks and transitions built from now on."""
+    counts = {"differential": 0, "block": 0, "transition_to": 0}
+    for cls, name in ((koszul._CochainSlice, "differential"), (KoszulComplex, "block"),
+                      (koszul._CochainSlice, "transition_to")):
+        def counted(self, *args, _name=name, _original=getattr(cls, name)):
+            counts[_name] += 1
+            return _original(self, *args)
+        monkeypatch.setattr(cls, name, counted)
+    return counts
+
+
+def test_certified_tables_build_no_differential_and_no_block(monkeypatch):
+    d8, c2r2, g32 = (get_preset(name) for name in ("d8", "c2r2", "g32n7"))
+    ring = c2r2.build_ring()
+    certified = [(d8.build_module(d8.norm), d8.norm["ideal"], d8.cech_window),
+                 (GradedModule.ring_as_module(ring), c2r2.cech_ideal, c2r2.cech_window)]
+    counts = _count_builds(monkeypatch)
+    for module, ideal, (lo, hi) in certified:
+        elements = [parse_poly(e, module.ring) for e in ideal]
+        table = cech_table(module, elements, range(lo, hi + 1))
+        assert table.stopping_rule["regular_sequence"] and table.all_certified()
+        assert any(table.dims.values())
+    assert counts == {"differential": 0, "block": 0, "transition_to": 0}
+    # g32n7's module has relation columns: its table eliminates ranks as before
+    module = g32.build_module(g32.module)
+    table = cech_table(module, [parse_poly(e, module.ring) for e in g32.module["ideal"]],
+                       range(-7, -2))
+    assert not table.stopping_rule["regular_sequence"]
+    assert counts["differential"] and counts["block"] and counts["transition_to"]

@@ -75,10 +75,10 @@ def test_public_matrix_validates_its_entries():
         Matrix(F5, [[Fraction(1, 2)]])
 
 
-def test_image_basis_spans_columns():
+def test_column_space_has_the_rank_as_dimension():
     m = Matrix(QQ, [[1, 1, 2], [0, 1, 1]])
-    img = m.image_basis()
-    assert len(img) == m.rank() == 2
+    span = RowSpace(QQ, m.nrows)
+    assert span.extend(m.column(j) for j in range(m.ncols)) == m.rank() == 2
 
 
 _fields = st.sampled_from([F2, F5, QQ])
