@@ -123,9 +123,12 @@ def _parse_window(text):
     if not sep:
         raise InputError(f"window must look like a..b, got {text!r}")
     try:
-        return range(int(lo), int(hi) + 1)
+        lo, hi = int(lo), int(hi)
     except ValueError:
         raise InputError(f"window bounds must be integers, got {text!r}")
+    if lo > hi:
+        raise InputError(f"window {text!r} is empty: {lo} > {hi}")
+    return range(lo, hi + 1)
 
 
 def _parse_ideal(text, ring):
@@ -217,9 +220,7 @@ def _cmd_localcoh(args):
                                " ".join(f"({i},{n})" for i, n in uncertified))
         failed = True
     if len(tables) == 2:
-        ca, du = tables["cech"], tables["duality"]
-        agree = all(ca.dim(i, n) == du.dim(i, n)
-                    for n in window for i in range(max(ca.top, du.top) + 1))
+        agree = tables["cech"].first_difference(tables["duality"]) is None
         report["methods_agree"] = agree
         report["lines"].append(f"methods agree: {'pass' if agree else 'fail'}")
         failed = failed or not agree

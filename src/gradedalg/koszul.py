@@ -10,12 +10,9 @@ n + sum_{j in S} s_j |a_j|.  The differential adds one index l to S and
 multiplies by a_l^(s_l) with sign (-1)^(number of indices of S below l).
 Raising the levels multiplies summand S by the gap powers; the Cech
 complex of localcoh is the colimit of these transitions.  Every map is
-kept as its columns in the field's vector format, shifted to the offsets
-of their target summands.  Each block of columns is one call of
-GradedModule.images, which multiplies the power into the whole source
-basis of each slot in one batch, signed by FreeModule.left_action so that
-it acts on the left; ranks come from eliminating those columns, so no
-map is ever turned into rows.
+kept as its columns, each block of them GradedModule.mult_columns of a
+power, placed at its target summand by linalg.place; ranks come from
+eliminating those columns, so no map is ever turned into rows.
 
 The Koszul chain complex has K_i = sum_{|S| = i} M(-sum_{j in S} |a_j|)
 and a differential that removes one index.  It is self-dual: chain degree
@@ -42,17 +39,16 @@ in max|x_i| consecutive codegrees from N = max(1, sum|a_j| - sum|x_i| + 1)
 it vanishes in all codegrees from N, and a system of parameters does, as
 the Hilbert series of R/(a) is then the polynomial
 prod_j (1 - t^|a_j|) / prod_i (1 - t^|x_i|) of degree N - 1.  Where the
-certificate does not hold the ranks are eliminated as above.  It does
-not change is_regular_sequence, which still reads the window.
+certificate does not hold the ranks are eliminated as above, and where
+it holds is_regular_sequence answers True without a window.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, reduce
 from itertools import accumulate, combinations
-from operator import mul
 
-from .linalg import RowSpace
+from .linalg import RowSpace, place
 from .modules import GradedModule
 
 
@@ -100,7 +96,8 @@ class KoszulComplex:
 
     def block(self, e, m):
         """The columns of multiplication by a^e = prod_j a_j^(e_j) from
-        module codegree m, e an exponent vector on the elements.
+        module codegree m, e an exponent vector on the elements:
+        GradedModule.mult_columns of the power.
 
         Every differential and transition block of every slice is one of
         these, built once.  a^e starts from its first nonzero factor and
@@ -113,11 +110,8 @@ class KoszulComplex:
                 factors = [self.ring.ppow(a, k) for a, k in zip(self.elements, e) if k]
                 self._powers[e] = (reduce(self.ring.pmul, factors) if factors
                                    else self.ring.pconst(1))
-            p, M = self._powers[e], self.module
-            # GradedModule.mult_columns, with the codegree of a^e known
-            basis, d = M.component(m).basis, sum(map(mul, e, self.codegrees))
-            self._blocks[e, m] = M.free.left_action(
-                basis, M.images(basis, M.free.scalar_columns(p), m + d), d, m) if p else None
+            p = self._powers[e]
+            self._blocks[e, m] = self.module.mult_columns(p, m) if p else None
         return self._blocks[e, m]
 
     def drop_below(self, m):
@@ -175,25 +169,18 @@ class _CochainSlice:
         of summand S is the sum over l not in S of column k of a_l^(s_l)
         shifted to summand S + {l}, with sign (-1)^(indices of S below l)."""
         if i not in self._diffs:
-            K, F = self.K, self.K.ring.field
+            K = self.K
             targets = self.offsets(i + 1)
             cols = []
             for S, size in zip(K.subsets[i], self.sizes(i)):
-                part = [0] * size if F.packed else [{} for _ in range(size)]
+                blocks = []
                 for l in range(K.c):
                     e = tuple(self.levels[l] if j == l else 0 for j in range(K.c))
                     block = None if l in S else K.block(e, self.subset_degree(S))
-                    if block is None:
-                        continue
-                    off = targets[tuple(sorted(S + (l,)))]
-                    odd = sum(x < l for x in S) % 2
-                    for k, col in enumerate(block):
-                        if F.packed:
-                            part[k] |= col << off
-                        else:
-                            part[k].update((off + r, F.neg(x) if odd else x)
-                                           for r, x in col.items())
-                cols.extend(part)
+                    if block is not None:
+                        blocks.append((targets[tuple(sorted(S + (l,)))], block,
+                                       sum(x < l for x in S) % 2))
+                cols.extend(place(K.ring.field, blocks, size))
             self._diffs[i] = cols
         return self._diffs[i]
 
@@ -218,17 +205,13 @@ class _CochainSlice:
         """The columns of the chain map from cochain degree i of this slice
         to that of other, at levels as high: summand S is multiplied by the
         gap powers of its elements and shifted to its offset in other."""
-        K, F = self.K, self.K.ring.field
+        K = self.K
         cols = []
         for S, size in zip(K.subsets[i], self.sizes(i)):
             e = tuple(other.levels[j] - self.levels[j] if j in S else 0 for j in range(K.c))
             block = K.block(e, self.subset_degree(S))
-            off = other.offsets(i)[S]
-            if block is None:
-                cols.extend([0] * size if F.packed else [{}] * size)  # read only
-            else:
-                cols.extend(col << off if F.packed else {off + r: x for r, x in col.items()}
-                            for col in block)
+            blocks = [] if block is None else [(other.offsets(i)[S], block, False)]
+            cols.extend(place(K.ring.field, blocks, size))
         return cols
 
 
@@ -244,9 +227,13 @@ def is_regular_sequence(ring, elements, codegree_max=24, module=None):
     Returns (verdict, detail).  verdict is True, False, or None when the
     window is too small to see every potential homology class (the terms
     stop being supported inside it, or it does not reach past every
-    generator and relation of the module by the top shift).
+    generator and relation of the module by the top shift).  Where
+    KoszulComplex.regular certifies the sequence it is True with detail
+    {"certificate": "regular"}, and no window is read.
     """
     K = KoszulComplex(ring, elements, module)
+    if K.regular:
+        return True, {"certificate": "regular"}
     degrees = range(K.module.min_degree(), codegree_max + 1)
     for i in range(1, K.c + 1):
         for n in degrees:

@@ -11,7 +11,9 @@ vector is an int whose bit c is column c, so adding two vectors or
 reducing by a row is one XOR.  Every other field keeps sparse
 {column: value} dicts, so a Macaulay row m * f costs its |f| terms, not
 the width of the matrix.  `field.packed` says which, and `unit_vector`
-and `bits` build and read vectors of either kind.
+and `bits` build and read vectors of either kind.  `place` is where
+columns are moved to an offset and summed: the free-module, Koszul and
+Cech blocks are assembled through it, and only it knows how.
 
 Matrix holds its rows in that format, its only storage, so its products,
 transposes, direct sums and elimination touch only nonzero entries
@@ -22,6 +24,7 @@ public boundary.  Matrices are immutable after construction.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
+from operator import xor
 
 from .fields import FieldError
 
@@ -78,9 +81,7 @@ class Matrix:
 
     @classmethod
     def zero(cls, field, nrows, ncols):
-        if field.packed:
-            return cls._of(field, [0] * nrows, ncols)
-        return cls._of(field, [{} for _ in range(nrows)], ncols)
+        return cls._of(field, place(field, [], nrows), ncols)
 
     @classmethod
     def identity(cls, field, n):
@@ -136,10 +137,7 @@ class Matrix:
     def direct_sum(self, other):
         """The block diagonal matrix with self above and left of other."""
         k = self.ncols
-        if self.field.packed:
-            low = [r << k for r in other.srows]
-        else:
-            low = [{k + c: x for c, x in r.items()} for r in other.srows]
+        low = place(self.field, [(k, other.srows, False)], other.nrows)
         return Matrix._of(self.field, self.srows + low, k + other.ncols)
 
     def mul(self, other):
@@ -302,6 +300,35 @@ def combine(field, vectors, coeffs):
             old = out.get(col)
             out[col] = mul(c, x) if old is None else add(old, mul(c, x))
     return {col: x for col, x in out.items() if x != z}
+
+
+def place(field, blocks, count):
+    """count vectors in the field's format, vector k the sum of column k of
+    every block (offset, columns, negate), moved to start at offset and
+    negated where negate is true; with no block, count zero vectors.
+
+    Nothing given is changed, but the first block comes back as it is
+    where it needs no move: the result may be its list and share its
+    vectors, so no caller changes either.  Over GF(2) -1 = 1 and moving
+    is a shift.
+    """
+    out = None
+    if field.packed:
+        for off, cols, _ in blocks:
+            if off:
+                cols = [v << off for v in cols]
+            out = cols if out is None else list(map(xor, out, cols))
+        return [0] * count if out is None else out
+    neg, one = field.neg, field.one()
+    for off, cols, negate in blocks:
+        if negate:
+            cols = [{off + r: neg(x) for r, x in v.items()} for v in cols]
+        elif off:
+            cols = [{off + r: x for r, x in v.items()} for v in cols]
+        out = cols if out is None else [
+            {**v, **w} if v.keys().isdisjoint(w) else combine(field, (v, w), (one, one))
+            for v, w in zip(out, cols)]
+    return [{} for _ in range(count)] if out is None else out
 
 
 class RowSpace:

@@ -42,7 +42,7 @@ minimal free resolution and its dual complex.
 from __future__ import annotations
 
 from .koszul import KoszulComplex, KoszulError
-from .linalg import RowSpace
+from .linalg import RowSpace, place
 from .modules import FreeModule, PolyMatrix
 from .resolution import minimal_resolution
 
@@ -71,6 +71,17 @@ class CohomologyTable:
     def all_certified(self):
         return all(self.certified.values())
 
+    def first_difference(self, other):
+        """The first cell (i, n, dim here, dim in other) where the two
+        tables differ, n over this table's degrees and i up to either top;
+        None where they agree."""
+        for n in self.degrees:
+            for i in range(max(self.top, other.top) + 1):
+                a, b = self.dim(i, n), other.dim(i, n)
+                if a != b:
+                    return i, n, a, b
+        return None
+
     def nonzero_indices(self):
         return sorted({i for (i, n), v in self.dims.items() if v})
 
@@ -94,11 +105,10 @@ def _induced_rank(low, high, i):
     r = low.term_dim(i + 1)
     span = RowSpace(F, r + high.term_dim(i))
     if i > 0:
-        span.extend(b << r if F.packed else {r + k: x for k, x in b.items()}
-                    for b in high.differential(i - 1))
+        span.extend(place(F, [(r, high.differential(i - 1), False)], high.term_dim(i - 1)))
     base = span.dim
-    span.extend(d | t << r if F.packed else {**d, **{r + k: x for k, x in t.items()}}
-                for d, t in zip(low.differential(i), low.transition_to(high, i)))
+    span.extend(place(F, [(0, low.differential(i), False),
+                          (r, low.transition_to(high, i), False)], low.term_dim(i)))
     return span.dim - span.pivots_below(r) - base
 
 
@@ -128,6 +138,9 @@ def cech_table(module, elements, degrees=None, stab_bound=16, buffer=8,
     slices are dropped once their codegree n is done, blocks once their
     source codegree is below every n still to do.
     """
+    if stab_bound < 1 or window < 1:
+        raise LocalCohomologyError(
+            f"stab_bound and window must be at least 1, got {stab_bound} and {window}")
     try:
         K = KoszulComplex(module.ring, elements, module)
     except KoszulError as exc:
@@ -257,12 +270,8 @@ def radical_invariance_check(module, gens_a, gens_b, degrees=None, **kw):
     """Tables for two generating sets with the same radical must agree."""
     ta = cech_table(module, gens_a, degrees, **kw)
     tb = cech_table(module, gens_b, degrees, **kw)
-    top = max(ta.top, tb.top)
-    for n in ta.degrees:
-        for i in range(top + 1):
-            if ta.dim(i, n) != tb.dim(i, n):
-                return False, (i, n, ta.dim(i, n), tb.dim(i, n))
-    return True, None
+    diff = ta.first_difference(tb)
+    return diff is None, diff
 
 
 def gorenstein_duality_check(table, ring_dims, r, a, defect=0, degrees=None):

@@ -3,9 +3,8 @@
 All degreewise computations funnel through ring components, so every
 coordinate already lives in the quotient-ring basis of its codegree.
 Coordinates are vectors in the field's format (see linalg), the column
-format of Matrix.from_columns: over GF(2) packed ints, bit k for
-position k, so a free-module vector is its slots' coordinates ORed in at
-their offsets; over every other field sparse {position: value} dicts.
+format of Matrix.from_columns, and a free-module vector is its slots'
+coordinates placed at their offsets by linalg.place.
 A free-module codegree-n basis is the list of pairs (slot, monomial)
 with the monomial running over the quotient basis of the complementary
 codegree.
@@ -21,9 +20,9 @@ FreeModule.left_action is the one place they get the sign of p * b.
 from __future__ import annotations
 
 from itertools import groupby
-from operator import itemgetter, or_
+from operator import itemgetter
 
-from .linalg import Matrix, RowSpace, bits
+from .linalg import Matrix, RowSpace, bits, place
 from .rings import GradedRing, PresentationError
 
 
@@ -66,17 +65,10 @@ class FreeModule:
 
     def coords_of(self, element, n):
         """Coordinates at codegree n of a polynomial vector {slot: poly}."""
-        packed = self.ring.field.packed
         offsets = self.offsets(n)
-        out = 0 if packed else {}
-        for j, p in element.items():
-            coords = self.ring.component(n - self.shifts[j]).reduce_poly(p)
-            if packed:
-                out |= coords << offsets[j]
-            else:
-                for k, x in coords.items():
-                    out[offsets[j] + k] = x
-        return out
+        return place(self.ring.field, [
+            (offsets[j], [self.ring.component(n - self.shifts[j]).reduce_poly(p)], False)
+            for j, p in element.items()], 1)[0]
 
     def images(self, pairs, columns, n):
         """Coordinates at codegree n of mono * columns[j] for each (j, mono),
@@ -90,30 +82,14 @@ class FreeModule:
         """
         ring = self.ring
         offsets = self.offsets(n)
-        packed = ring.field.packed
         out = []
         for j, run in groupby(pairs, itemgetter(0)):
             monos = [mono for _, mono in run]
-            cols = None
+            blocks = []
             for i, p in columns[j].items():
                 target = ring.component(n - self.shifts[i])
-                part = target.products(monos, target.terms(p))
-                off = offsets[i]
-                if packed:
-                    if off:
-                        part = [v << off for v in part]
-                    cols = part if cols is None else list(map(or_, cols, part))
-                else:
-                    if off:
-                        part = [{off + k: x for k, x in v.items()} for v in part]
-                    if cols is None:
-                        cols = part
-                    else:
-                        for v, w in zip(cols, part):
-                            v.update(w)
-            if cols is None:  # a zero column
-                cols = [0] * len(monos) if packed else [{} for _ in monos]
-            out.extend(cols)
+                blocks.append((offsets[i], target.products(monos, target.terms(p)), False))
+            out.extend(place(ring.field, blocks, len(monos)))
         return out
 
     def left_action(self, pairs, cols, d, n):
@@ -138,10 +114,7 @@ class FreeModule:
         cols = []
         for s, off in zip(self.shifts, self.offsets(a + d)):
             part = ring.generator_products(j, a - s)
-            if off:
-                part = ([v << off for v in part] if ring.field.packed
-                        else [{off + k: x for k, x in v.items()} for v in part])
-            cols.extend(part)
+            cols.extend(place(ring.field, [(off, part, False)], len(part)))
         return self.left_action(self.basis(a), cols, d, a)
 
     def scalar_columns(self, poly):

@@ -155,6 +155,8 @@ def minimal_resolution(module: GradedModule, h_max=12, codegree_max=24) -> Resol
     and only when the window reaches every generator and relation of M:
     a kernel that vanishes below a relation says nothing about it.
     """
+    if h_max < 0:
+        raise ResolutionError(f"h_max must be at least 0, got {h_max}")
     ring = module.ring
     betti = BettiTable(h_max, codegree_max)
     covers_presentation = codegree_max >= module.presentation_codegree()

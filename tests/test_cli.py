@@ -197,6 +197,25 @@ def test_module_file_uses_the_documented_keys(ring_file, capsys):
     assert json.loads(capsys.readouterr().out)["betti"] == [1, 2, 1]
 
 
+@pytest.mark.parametrize("args, named", [
+    (["localcoh", "--ideal", "x", "--stab-bound", "0"], "stab_bound"),
+    (["resolution", "--hmax", "-1"], "h_max"),
+    (["localcoh", "--ideal", "x", "--window=3..1"], "'3..1' is empty"),
+    (["localcoh", "--ideal", "x", "--window=3..1", "--method", "duality"], "'3..1' is empty"),
+], ids=["stab-bound", "hmax", "window-cech", "window-duality"])
+def test_out_of_range_arguments_are_a_usage_error(ring_file, capsys, args, named):
+    command, *options = args
+    assert run_cli([command, ring_file(RING_KXY), *options]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+
+
+def test_koszul_certifies_a_system_of_parameters(ring_file, capsys):
+    assert run_cli(["koszul", ring_file(RING_KXY), "--elements", "x,y", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["regular"] is True and data["lines"] == ["sequence is regular"]
+
+
 def test_koszul_elements_act_on_the_module_file(ring_file, capsys):
     # M = k[x,y]/(x^2): x is a zerodivisor on M (x * x = 0), and y is
     # regular, which a window cannot prove for an infinite M (exit 0)

@@ -1,4 +1,5 @@
-"""Every module-level import in the library is used by its module."""
+"""Every module-level import in the library is used by its module, and
+only linalg and rings read which vector format the field uses."""
 
 import ast
 from pathlib import Path
@@ -32,3 +33,24 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_level_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+# linalg owns the vector format; rings builds product columns in it
+FORMAT_OWNERS = {"linalg.py", "rings.py"}
+
+
+def _packed_reads(source):
+    """The lines that read an attribute named packed."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr == "packed"
+                  and isinstance(node.ctx, ast.Load))
+
+
+def test_the_check_sees_a_packed_read():
+    assert _packed_reads("x = field.packed\nfield.packed = True\nif f.packed: pass\n") == [1, 3]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name not in FORMAT_OWNERS],
+                         ids=lambda p: p.name)
+def test_only_linalg_and_rings_read_the_vector_format(path):
+    assert _packed_reads(path.read_text()) == []

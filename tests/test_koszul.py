@@ -39,10 +39,19 @@ def test_zero_divisor_detected_on_quotient():
 
 
 def test_window_limited_verdict_on_a_big_module():
+    # two elements in three variables: no certificate, and R/(x, y) = k[z]
+    # never vanishes inside the window
+    ring = ring_with_relations(F2, [("x", 1), ("y", 1), ("z", 1)], [])
+    x, y = parse_poly("x", ring), parse_poly("y", ring)
+    assert is_regular_sequence(ring, [x, y]) == (None, {"window": 24})
+
+
+def test_a_certified_sequence_is_regular_without_a_window():
     ring = ring_with_relations(F2, [("x", 1), ("y", 1)], [])
     x, y = parse_poly("x", ring), parse_poly("y", ring)
-    verdict, _ = is_regular_sequence(ring, [x, y])
-    assert verdict is None  # R itself never vanishes inside the window
+    for elements in ([x, y], [y, x], [parse_poly("x*y", ring), parse_poly("x + y", ring)]):
+        assert is_regular_sequence(ring, elements, codegree_max=2) == (
+            True, {"certificate": "regular"})
 
 
 def test_regular_verdict_needs_the_window_to_reach_the_presentation():

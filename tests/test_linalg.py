@@ -1,3 +1,4 @@
+import copy
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import densified
 from gradedalg.fields import ExtensionField, FieldError, PrimeField, Rationals
-from gradedalg.linalg import Matrix, RowSpace, combine
+from gradedalg.linalg import Matrix, RowSpace, combine, place
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -514,3 +515,42 @@ def test_matrix_matches_dense_references(case):
     assert summed.rows == expected and (summed.nrows, summed.ncols) == (n + p, k + n)
     assert summed.transpose().rows == [[r[j] for r in expected] for j in range(k + n)]
 
+
+
+@st.composite
+def _placements(draw):
+    """A field, a column count and blocks (offset, columns, negate) in the
+    field's format; offsets are laid out one block after another or, so
+    that rows overlap and sum, drawn freely."""
+    F = draw(st.sampled_from((F2, F3, QQ)))
+    count = draw(st.integers(0, 4))
+    values = [F.from_int(k) for k in (1, -1, 2)]
+    values = [v for i, v in enumerate(values) if v != F.zero() and v not in values[:i]]
+    disjoint = draw(st.booleans())
+    blocks, dense, end = [], [], 0
+    for _ in range(draw(st.integers(0, 3))):
+        height = draw(st.integers(0, 4))
+        off = end + draw(st.integers(0, 2)) if disjoint else draw(st.integers(0, 5))
+        end = off + height
+        cols = [[draw(st.sampled_from([F.zero()] + values)) for _ in range(height)]
+                for _ in range(count)]
+        negate = draw(st.booleans())
+        dense.append((off, cols, negate))
+        blocks.append((off, [_as_int(c) if F is F2 else _as_dict(F, c) for c in cols], negate))
+    return F, count, blocks, dense
+
+
+@settings(max_examples=300, deadline=None)
+@given(_placements())
+def test_place_matches_dense_sums(case):
+    F, count, blocks, dense = case
+    width = max([off + len(cols[0]) for off, cols, _ in dense if cols] + [0])
+    expected = [[F.zero()] * width for _ in range(count)]
+    for off, cols, negate in dense:
+        for k, col in enumerate(cols):
+            for r, x in enumerate(col):
+                expected[k][off + r] = F.add(expected[k][off + r], F.neg(x) if negate else x)
+    before = copy.deepcopy(blocks)
+    got = place(F, blocks, count)
+    assert [densified(F, v, width) for v in got] == expected
+    assert blocks == before

@@ -85,6 +85,36 @@ def test_radical_invariance_on_nilpotent_thickening():
     assert ok, detail
 
 
+def test_first_difference_is_the_first_cell_that_differs():
+    from gradedalg.localcoh import CohomologyTable
+    a = CohomologyTable(range(-2, 2), 1, "manual")
+    b = CohomologyTable(range(-2, 2), 2, "manual")
+    a.set(1, -1, 3)
+    b.set(1, -1, 3)
+    assert a.first_difference(b) is None and b.first_difference(a) is None
+    # cells past the smaller top are read as zero; n runs before i
+    b.set(2, 0, 1)
+    b.set(0, 1, 2)
+    assert a.first_difference(b) == (2, 0, 0, 1)
+    assert b.first_difference(a) == (2, 0, 1, 0)
+
+
+def test_radical_invariance_reports_the_first_differing_cell():
+    ring = ring_with_relations(F2, [("x", 1), ("y", 1)], ["x^2"])
+    m = GradedModule.ring_as_module(ring)
+    x, y = parse_poly("x", ring), parse_poly("y", ring)
+    # x is nilpotent, so H^0 at (x) is all of R, and H^0 at (y) is zero
+    assert radical_invariance_check(m, [x], [y], range(0, 3)) == (False, (0, 0, 1, 0))
+
+
+def test_cech_table_rejects_a_stab_bound_or_window_below_one():
+    ring, m = _line()
+    x = parse_poly("x", ring)
+    for kw in ({"stab_bound": 0}, {"window": 0}, {"stab_bound": -1, "window": 3}):
+        with pytest.raises(LocalCohomologyError, match="at least 1"):
+            cech_table(m, [x], range(-2, 1), **kw)
+
+
 def test_gorenstein_duality_for_the_plane():
     ring = ring_with_relations(F2, [("x", 1), ("y", 1)], [])
     table = duality_table(GradedModule.ring_as_module(ring), range(-10, 5))

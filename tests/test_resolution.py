@@ -89,6 +89,12 @@ def test_zero_module_has_length_minus_one():
     assert res.frees[0].rank == 0 and res.augmentation.columns == [] and res.diffs == []
 
 
+def test_negative_h_max_is_rejected():
+    ring = ring_with_relations(F2, [("x", 1)], [])
+    with pytest.raises(ResolutionError, match="h_max"):
+        minimal_resolution(GradedModule.residue_field(ring), h_max=-1)
+
+
 def test_growth_classifier_oracles():
     assert ext_growth_class([1, 1] + [0] * 10) == GrowthClass("finite")
     assert ext_growth_class([1] * 12) == GrowthClass("bounded")
