@@ -47,6 +47,7 @@ from __future__ import annotations
 
 from functools import cached_property, reduce
 from itertools import accumulate, combinations
+from operator import mul
 
 from .linalg import RowSpace, place
 from .modules import GradedModule
@@ -102,8 +103,9 @@ class KoszulComplex:
         Every differential and transition block of every slice is one of
         these, built once.  a^e starts from its first nonzero factor and
         multiplies the others in increasing j, which fixes the signs of odd
-        elements.  A zero power (a nilpotent raised past its order) gives
-        None, a missing block.
+        elements.  Its codegree is sum_j e_j |a_j|, so no term of it is
+        walked to find that.  A zero power (a nilpotent raised past its
+        order) gives None, a missing block.
         """
         if (e, m) not in self._blocks:
             if e not in self._powers:
@@ -111,7 +113,8 @@ class KoszulComplex:
                 self._powers[e] = (reduce(self.ring.pmul, factors) if factors
                                    else self.ring.pconst(1))
             p = self._powers[e]
-            self._blocks[e, m] = self.module.mult_columns(p, m) if p else None
+            d = sum(map(mul, e, self.codegrees))
+            self._blocks[e, m] = self.module._mult_columns(p, d, m) if p else None
         return self._blocks[e, m]
 
     def drop_below(self, m):

@@ -12,8 +12,9 @@ reducing by a row is one XOR.  Every other field keeps sparse
 {column: value} dicts, so a Macaulay row m * f costs its |f| terms, not
 the width of the matrix.  `field.packed` says which, and `unit_vector`
 and `bits` build and read vectors of either kind.  `place` is where
-columns are moved to an offset and summed: the free-module, Koszul and
-Cech blocks are assembled through it, and only it knows how.
+columns are moved to an offset and summed, and `shifted` where they are
+moved and set one after the other: the free-module, Koszul and Cech
+blocks are assembled through them, and only they know how.
 
 Matrix holds its rows in that format, its only storage, so its products,
 transposes, direct sums and elimination touch only nonzero entries
@@ -329,6 +330,27 @@ def place(field, blocks, count):
             {**v, **w} if v.keys().isdisjoint(w) else combine(field, (v, w), (one, one))
             for v, w in zip(out, cols)]
     return [{} for _ in range(count)] if out is None else out
+
+
+def shifted(field, blocks):
+    """The columns of every block (offset, columns, negate) one after the
+    other, each moved to start at offset and negated where negate is
+    true: the columns of a block-diagonal map, its blocks placed at their
+    offsets.  Vectors that need no move or sign are shared, not copied."""
+    out = []
+    if field.packed:
+        for off, cols, _ in blocks:
+            out.extend([v << off for v in cols] if off else cols)
+        return out
+    neg = field.neg
+    for off, cols, negate in blocks:
+        if negate:
+            out.extend([{off + r: neg(x) for r, x in v.items()} for v in cols])
+        elif off:
+            out.extend([{off + r: x for r, x in v.items()} for v in cols])
+        else:
+            out.extend(cols)
+    return out
 
 
 class RowSpace:

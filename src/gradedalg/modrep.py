@@ -410,6 +410,8 @@ def k_coradical_tower(module: GroupModule):
 
 def squeezed_resolution(group: GroupTable, field, steps):
     """Benson's recursion; returns (projective dims, homology dims HΩ_n for n <= steps)."""
+    if steps < 0:
+        raise RepresentationError(f"steps must be at least 0, got {steps}")
     algebra = GroupAlgebra(group, field)
     k = GroupModule.trivial(algebra)
     P0, d0 = projective_cover(k)

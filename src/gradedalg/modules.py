@@ -7,22 +7,24 @@ format of Matrix.from_columns, and a free-module vector is its slots'
 coordinates placed at their offsets by linalg.place.
 A free-module codegree-n basis is the list of pairs (slot, monomial)
 with the monomial running over the quotient basis of the complementary
-codegree.
+codegree.  It is built only where a caller reads its pairs: a dimension
+is the sum of the slots' ring-component dimensions, and a module with no
+relation column has its free module's dimensions.
 
 A polynomial vector is a {slot: nonzero poly} dict, and a map of free
 modules the list of its columns, so a map costs its nonzero entries.
 
 A ring element acts on the left of a module.  Products come from one
 route, rings.RingComponent.products, as columns b * p, and
-FreeModule.left_action is the one place they get the sign of p * b.
+FreeModule.signs is the one place they get the sign of p * b.
 """
 
 from __future__ import annotations
 
-from itertools import groupby
+from itertools import accumulate, groupby
 from operator import itemgetter
 
-from .linalg import Matrix, RowSpace, bits, place
+from .linalg import Matrix, RowSpace, bits, place, shifted
 from .rings import GradedRing, PresentationError
 
 
@@ -51,17 +53,16 @@ class FreeModule:
         return out
 
     def offsets(self, n):
-        """Position of each slot's first coordinate at codegree n."""
+        """Position of each slot's first coordinate at codegree n, and
+        last the dimension there."""
         if n not in self._offset_cache:
-            out, pos = [], 0
-            for s in self.shifts:
-                out.append(pos)
-                pos += self.ring.component(n - s).dim
-            self._offset_cache[n] = out
+            ring = self.ring
+            self._offset_cache[n] = list(accumulate(
+                (ring.dim(n - s) for s in self.shifts), initial=0))
         return self._offset_cache[n]
 
     def dim(self, n):
-        return len(self.basis(n))
+        return self.offsets(n)[-1]
 
     def coords_of(self, element, n):
         """Coordinates at codegree n of a polynomial vector {slot: poly}."""
@@ -92,30 +93,34 @@ class FreeModule:
             out.extend(place(ring.field, blocks, len(monos)))
         return out
 
+    def signs(self, d, n):
+        """Per slot, whether p * (b e_s) = -(b * p) e_s for p of codegree
+        d and b e_s of codegree n: the sign is (-1)^(d |b|) with
+        |b| = n - shift_s, so only an odd-signed p negates, in the slots
+        where |b| is odd, and over GF(2) or for an even p none is."""
+        odd = self.ring.signed and d % 2 == 1
+        return [odd and (n - s) % 2 == 1 for s in self.shifts]
+
     def left_action(self, pairs, cols, d, n):
         """The columns of p * (b e_s) for each basis vector (s, b) of pairs,
-        at codegree n, from cols[k] = (b * p) e_s, p of codegree d:
-        p * (b e_s) = (-1)^(d |b|) (b * p) e_s with |b| = n - shift_s.
-        Only an odd-signed p negates, in the slots where |b| is odd, so
-        over GF(2) and for an even p the columns come back as they are."""
-        ring = self.ring
-        if not (ring.signed and d % 2):
+        at codegree n, from cols[k] = (b * p) e_s, p of codegree d, with
+        the sign of signs; unsigned columns come back as they are."""
+        signs = self.signs(d, n)
+        if not any(signs):
             return cols
-        neg = ring.field.neg
-        return [{k: neg(x) for k, x in c.items()} if (n - self.shifts[s]) % 2 else c
+        neg = self.ring.field.neg
+        return [{k: neg(x) for k, x in c.items()} if signs[s] else c
                 for (s, _), c in zip(pairs, cols)]
 
     def generator_columns(self, j, a):
         """x_j times each basis vector of codegree a, as coordinates at
-        codegree a + |x_j|: per slot the ring's generator_products at its
-        offset, with the sign of left_action."""
+        codegree a + |x_j|: per slot the ring's generator_products, moved
+        to its offset with the sign of signs, all in one linalg.shifted."""
         ring = self.ring
         d = ring.codegrees[j]
-        cols = []
-        for s, off in zip(self.shifts, self.offsets(a + d)):
-            part = ring.generator_products(j, a - s)
-            cols.extend(place(ring.field, [(off, part, False)], len(part)))
-        return self.left_action(self.basis(a), cols, d, a)
+        return shifted(ring.field, [
+            (off, ring.generator_products(j, a - s), negate)
+            for s, off, negate in zip(self.shifts, self.offsets(a + d), self.signs(d, a))])
 
     def scalar_columns(self, poly):
         """The columns of poly times the identity: {j: poly} for each j."""
@@ -228,6 +233,7 @@ class GradedModule:
                 cols.append((degs.pop(), col))
         self.rel_columns = cols  # [(codegree, {slot: poly})]
         self._component_cache = {}
+        self._dim_cache = {}
 
     @classmethod
     def ring_as_module(cls, ring):
@@ -257,7 +263,20 @@ class GradedModule:
         return comp
 
     def dim(self, n):
-        return self.component(n).dim
+        """dim M_n.  With no relation column it is the free module's.
+        Otherwise M_n = sum_j x_j M_(n-|x_j|) off the generators'
+        codegrees (R is connected), so M_n is zero, and no component is
+        built, where each M_(n-|x_j|) is known to be: below M's least
+        generator, or a dimension already found zero."""
+        if not self.rel_columns:
+            return self.free.dim(n)
+        known = self._dim_cache
+        if n not in known:
+            lo = self.min_degree()
+            zero = n not in self.gen_shifts and all(
+                m < lo or known.get(m) == 0 for m in (n - d for d in self.ring.codegrees))
+            known[n] = 0 if zero else self.component(n).dim
+        return known[n]
 
     def hilbert_prefix(self, n_max, n_min=0):
         return [self.dim(n) for n in range(n_min, n_max + 1)]
@@ -298,7 +317,11 @@ class GradedModule:
         left (FreeModule.left_action), in the quotient coordinates of
         M^(n+|poly|) and the field's format.  The basis vectors of each
         slot are multiplied in one batch (see images)."""
-        d = self.ring.poly_codegree(poly)
+        return self._mult_columns(poly, self.ring.poly_codegree(poly), n)
+
+    def _mult_columns(self, poly, d, n):
+        """mult_columns of a polynomial known to be homogeneous of
+        codegree d, whose terms need no walk to find it."""
         basis = self.component(n).basis
         return self.free.left_action(
             basis, self.images(basis, self.free.scalar_columns(poly), n + d), d, n)

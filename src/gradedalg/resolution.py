@@ -16,7 +16,25 @@ exact: F_0 -> M is onto there and every generator of each kernel up to
 codegree_max has been added.  So dim K_(i+1),n = dim F_i(n) - dim
 K_i,n, and a codegree whose products x_j * (K_i below) already reach
 that dimension needs no candidates: only where they fall short are they
-read, at stage i >= 1 the kernel basis of d_(i-1)'s matrix.
+read, at stage i >= 1 the kernel basis of d_(i-1)'s matrix.  A window
+below M's least generator holds nothing to resolve and is rejected.
+
+Not every product is tried (the level rule, the module twin of the
+ring components' rule in rings).  Each codegree keeps the vectors that
+enlarged its span, each with a level: k for a product x_k * u, -1 for
+a generator.  Codegree n tries, for j ascending, x_j * u for the kept
+u of codegree n - |x_j| whose level is <= j.  These products span what
+all x_j * (K below) span.  Products are tried in increasing level and
+before any candidate, so a rejected one lies in the span of kept
+vectors of level <= its own.  Take a generator g and x_(j_1) ... x_(j_r) with
+j_1 <= ... <= j_r.  By induction on r, x_(j_t) ... x_(j_1) g lies in
+the span of kept vectors of level <= j_t.  So x_(j_(t+1)) times it is
+a sum of products x_(j_(t+1)) * u with u of level <= j_(t+1), each
+tried, and then in the span of kept vectors of level <= j_(t+1), unless
+kept vectors of lower levels had spanned its codegree first.  Up to
+sign every monomial times every generator is such a product, and they
+span K.  The span, and with it each generator, differential and Betti
+entry, is that of all the products.
 """
 
 from __future__ import annotations
@@ -95,19 +113,22 @@ def _kernel_generators(ambient, diff, dims, top):
     to top: K = M itself when ambient is the module M and diff is None,
     else K = ker(diff) inside diff's source, a free module.
 
-    dims[n] is dim K_n.  In each codegree the span of x_j * (basis of K
-    at n - |x_j|) is filled until it reaches dims[n]; only where it falls
-    short are vectors spanning K_n read (the unit vectors of M_n, or the
-    kernel basis of diff.matrix_at(n)), and those that enlarge the span
-    become the generators.  Returns them as (codegree, coordinate vector).
+    dims[n] is dim K_n.  In each codegree the products x_j * u of the
+    level rule (see the module docstring) are inserted until they span
+    dims[n]; only where they fall short are vectors spanning K_n read
+    (the unit vectors of M_n, or the kernel basis of diff.matrix_at(n)),
+    and those that enlarge the span become the generators.  Returns them
+    as (codegree, coordinate vector).
 
-    At every stage, on M or a free module, x_j * v is
-    combine(F, ambient.generator_columns(j, a), v): x_j acts on the left.
+    At every stage, on M or a free module, x_j * u is
+    combine(F, ambient.generator_columns(j, a), u): x_j acts on the left.
     """
     ring = ambient.ring
     F = ring.field
     gens = []
-    bases = {}  # n -> basis of K_n (ambient coords): products, then generators
+    # n -> the kept basis of K_n (ambient coords) as (level, vector):
+    # products in increasing level, then the generators, of level -1
+    bases = {}
     for n in range(ambient.min_degree(), top + 1):
         want = dims[n]
         if want == 0:
@@ -118,15 +139,17 @@ def _kernel_generators(ambient, diff, dims, top):
         # products span `want` dimensions they span K_n and no generator
         # appears here
         for j in range(ring.ngens):
+            if span.dim == want:
+                break
             a = n - ring.codegrees[j]
-            lower = bases.get(a)
-            if span.dim == want or not lower:
+            lower = [u for level, u in bases.get(a, ()) if level <= j]
+            if not lower:
                 continue
             products = ambient.generator_columns(j, a)
-            for v in lower:
-                w = combine(F, products, v)
+            for u in lower:
+                w = combine(F, products, u)
                 if span.insert(w):
-                    basis.append(w)
+                    basis.append((j, w))
                     if span.dim == want:
                         break
         if span.dim == want:
@@ -141,7 +164,7 @@ def _kernel_generators(ambient, diff, dims, top):
             if span.dim == want:
                 break
             if span.insert(v):
-                basis.append(v)
+                basis.append((-1, v))
                 gens.append((n, v))
     return gens
 
@@ -157,6 +180,10 @@ def minimal_resolution(module: GradedModule, h_max=12, codegree_max=24) -> Resol
     """
     if h_max < 0:
         raise ResolutionError(f"h_max must be at least 0, got {h_max}")
+    if codegree_max < module.min_degree():
+        raise ResolutionError(
+            f"codegree_max {codegree_max} is below the least generator codegree "
+            f"{module.min_degree()} of the module")
     ring = module.ring
     betti = BettiTable(h_max, codegree_max)
     covers_presentation = codegree_max >= module.presentation_codegree()

@@ -29,7 +29,7 @@ batch of monomials b, as the columns of each b * p.  It gives the
 Macaulay rows, and through RingComponent.products, which reduces them
 where relations reach, the coordinates of module images, multiplication
 columns, reduce_poly and GradedRing.generator_products, b always on
-the left (modules.FreeModule.left_action signs them to act on modules).
+the left (modules.FreeModule.signs signs them to act on modules).
 Coordinates in a component's basis are vectors in the field's format
 (see linalg): over GF(2) packed ints, bit k for basis position k; over
 every other field sparse {position: value} dicts.
@@ -271,7 +271,7 @@ class GradedRing:
         resolution stage over it.
 
         b multiplies on the left, as in every product of RingComponent;
-        FreeModule.left_action turns these columns into x_i * b.
+        FreeModule.signs turns these columns into x_i * b.
         """
         cols = self._generator_products.get((i, a))
         if cols is None:
@@ -284,6 +284,9 @@ class GradedRing:
         return self.component(n).dim
 
     def hilbert_prefix(self, n_max):
+        """dim R_n for n = 0, ..., n_max; n_max must be at least 0."""
+        if n_max < 0:
+            raise ValueError(f"n_max must be at least 0, got {n_max}")
         return [self.dim(n) for n in range(n_max + 1)]
 
     def quotient_with(self, extra_relations):

@@ -84,6 +84,7 @@ def test_each_preset_is_timed_after_a_full_collection(tmp_path):
 def _fake_checkout(tmp_path, script):
     (tmp_path / "bench").mkdir()
     (tmp_path / "bench" / "run.py").write_text(script)
+    (tmp_path / "bench" / "speed.py").write_text("PERIOD_S = 0.02\n")
     return str(tmp_path)
 
 
@@ -130,3 +131,31 @@ def test_each_run_keeps_its_unscaled_pass_median(tmp_path):
     side = bench_record.summarize_side([run, dict(run, unscaled_pass_s=0.045)])
     assert side["unscaled_pass_s"]["runs"] == [0.043, 0.045]
     assert side["unscaled_pass_s"]["median"] == pytest.approx(0.044)
+
+
+def test_the_probe_period_is_read_from_the_checkout_without_running_it(tmp_path):
+    repo = os.path.join(os.path.dirname(__file__), os.pardir)
+    assert bench_record.probe_period(repo) == 0.02
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "speed.py").write_text(
+        "raise SystemExit('not to be run')\nPERIOD_S = 0.05\n")
+    assert bench_record.probe_period(str(tmp_path)) == 0.05
+    (tmp_path / "bench" / "speed.py").write_text("PERIOD = 0.05\n")
+    with pytest.raises(ValueError, match="no PERIOD_S"):
+        bench_record.probe_period(str(tmp_path))
+
+
+def test_passes_near_the_probe_period_are_flagged():
+    def side(*passes):
+        return bench_record.summarize_side(
+            [dict(_run(0.03, 20.0), unscaled_pass_s=p) for p in passes])
+
+    floor = bench_record.SHORT_PASS_FACTOR * 0.02
+    workloads = {
+        "fast": {"parent": side(0.030, 0.031, 0.032), "change": side(0.024, 0.026, 0.020)},
+        "slow": {"parent": side(0.040), "change": side(0.025)},
+        "unknown": {"parent": side(None), "change": side(0.001)},
+    }
+    assert bench_record.short_passes(workloads, floor) == [
+        {"workload": "fast", "side": "change", "median_s": 0.024},
+        {"workload": "unknown", "side": "change", "median_s": 0.001}]

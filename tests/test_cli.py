@@ -210,6 +210,28 @@ def test_out_of_range_arguments_are_a_usage_error(ring_file, capsys, args, named
     assert err.startswith("error:") and named in err
 
 
+@pytest.mark.parametrize("args, named", [
+    (["resolution", "RING_KX2", "--codegree-max", "-5"], "codegree_max -5"),
+    (["resolution", "RING_KX2", "--codegree-max", "-1", "--hmax", "12"], "codegree_max -1"),
+    (["hypersurface", "RING_KXY", "--f", "x*y", "--codegree-max", "-1"], "codegree_max -1"),
+    (["hypersurface", "RING_KXY", "--f", "x*y", "--codegree-max", "-1", "--mf"],
+     "codegree_max -1"),
+    (["hilbert", "RING_KX", "--nmax", "-3"], "n_max"),
+    (["squeezed", "--char", "2", "--field-degree", "2", "--steps", "-1"], "steps"),
+], ids=["resolution", "resolution-growth", "hypersurface", "hypersurface-mf", "hilbert",
+        "squeezed"])
+def test_empty_windows_are_a_usage_error(ring_file, capsys, args, named):
+    # each printed an answer for nothing: all-zero Betti totals with a
+    # growth class, a periodicity verdict, dims [0..-3]: [], or
+    # projective dims with no homology
+    rings = {"RING_KX": RING_KX, "RING_KX2": RING_KX2, "RING_KXY": RING_KXY}
+    args = [ring_file(rings[a]) if a in rings else a for a in args]
+    assert run_cli(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and named in captured.err
+
+
 def test_koszul_certifies_a_system_of_parameters(ring_file, capsys):
     assert run_cli(["koszul", ring_file(RING_KXY), "--elements", "x,y", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import densified
 from gradedalg.fields import ExtensionField, FieldError, PrimeField, Rationals
-from gradedalg.linalg import Matrix, RowSpace, combine, place
+from gradedalg.linalg import Matrix, RowSpace, combine, place, shifted
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -553,4 +553,16 @@ def test_place_matches_dense_sums(case):
     before = copy.deepcopy(blocks)
     got = place(F, blocks, count)
     assert [densified(F, v, width) for v in got] == expected
+    assert blocks == before
+
+
+@settings(max_examples=200, deadline=None)
+@given(_placements())
+def test_shifted_sets_placed_blocks_one_after_the_other(case):
+    # each block on its own through place, its columns after those of
+    # the blocks before it; nothing given is changed
+    F, count, blocks, _ = case
+    before = copy.deepcopy(blocks)
+    got = shifted(F, blocks)
+    assert got == [v for block in blocks for v in place(F, [block], count)]
     assert blocks == before

@@ -15,7 +15,11 @@ The file holds, per workload and side, each end-to-end metric's median,
 quartiles and runs, the fail rate, and the same summary of each run's
 median unscaled pass seconds (the `untraced passes of X s unscaled`
 figure on run.py's stderr), which shows how far a pass is from the speed
-probe's sampling period.  Per metric it also holds the pairs the change
+probe's sampling period.  A side whose median pass is under
+SHORT_PASS_FACTOR times that period (PERIOD_S, read from the change's
+bench/speed.py without running it) is listed under `short_passes` and
+named in a warning on stderr: such a pass can end before the probe's
+first sample.  Per metric it also holds the pairs the change
 won and two verdicts: `gain`, when the change won at
 least nine tenths of the pairs and the medians differ by more than the
 parent's interquartile range, and `within_bound`, when the change's
@@ -32,6 +36,7 @@ Standard library only.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import platform
@@ -46,6 +51,7 @@ TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"
          "-p", "no:cacheprovider"]
 STDERR_TAIL = 20  # lines of a failed run's stderr shown
 UNSCALED = re.compile(r"untraced passes of ([0-9.]+) s unscaled")
+SHORT_PASS_FACTOR = 1.25  # passes under this many probe periods are flagged
 
 
 class RunFailed(RuntimeError):
@@ -89,6 +95,26 @@ def summarize_side(results):
     passes = [r["unscaled_pass_s"] for r in results if r.get("unscaled_pass_s") is not None]
     return {"metrics": metrics, "fail_rate": failed / attempted if attempted else None,
             "unscaled_pass_s": summarize(passes) if passes else None}
+
+
+def probe_period(checkout):
+    """PERIOD_S of the checkout's bench/speed.py, read from its source."""
+    with open(os.path.join(checkout, "bench", "speed.py")) as fh:
+        tree = ast.parse(fh.read())
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "PERIOD_S" for t in node.targets)):
+            return ast.literal_eval(node.value)
+    raise ValueError(f"no PERIOD_S in {checkout}/bench/speed.py")
+
+
+def short_passes(workloads, floor):
+    """The sides, of workloads as recorded, whose median unscaled pass
+    is under floor seconds: {workload, side, median_s} each."""
+    return [{"workload": name, "side": side, "median_s": passes["median"]}
+            for name, entry in workloads.items()
+            for side in ("parent", "change")
+            if (passes := entry[side]["unscaled_pass_s"]) and passes["median"] < floor]
 
 
 def verdicts(parent, change, bounds):
@@ -177,6 +203,7 @@ def main(argv=None):
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
         benchmark = json.load(fh)
     seconds = benchmark["run_seconds"]
+    floor = SHORT_PASS_FACTOR * probe_period(args.change)
     bounds = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
 
     record = {
@@ -202,6 +229,11 @@ def main(argv=None):
             "change": summarize_side(change),
             "verdicts": verdicts(parent, change, bounds),
         }
+    record["short_pass_floor_s"] = floor
+    record["short_passes"] = short_passes(record["workloads"], floor)
+    for short in record["short_passes"]:
+        print(f"warning: {short['workload']} passes on the {short['side']} take "
+              f"{short['median_s']} s unscaled, under {floor} s", file=sys.stderr)
     parent, change = in_pairs(args.parent, args.change, "presets",
                               lambda checkout, k: preset_seconds(checkout))
     record["preset_seconds"] = {
