@@ -78,6 +78,7 @@ class KoszulComplex:
         self.c = len(self.elements)
         # degree c + 1 has no subsets, so the differential out of degree c is zero
         self.subsets = [list(combinations(range(self.c), i)) for i in range(self.c + 2)]
+        self._element_powers = [[a] for a in self.elements]  # j -> [a_j, a_j^2, ...]
         self._powers = {}   # e -> a^e
         self._blocks = {}   # (e, m) -> columns or None
         self._ones = {}     # chain codegree n -> its level-1 cochain slice
@@ -95,21 +96,31 @@ class KoszulComplex:
         quotient = ring.quotient_with(self.elements)
         return all(quotient.dim(n) == 0 for n in range(N, N + max(ring.codegrees, default=0)))
 
+    def element_power(self, j, k):
+        """a_j^k for k >= 1, kept with every lower power: a_j^k is built
+        once, as a_j^(k-1) * a_j."""
+        powers = self._element_powers[j]
+        while len(powers) < k:
+            powers.append(self.ring.pmul(powers[-1], self.elements[j]))
+        return powers[k - 1]
+
     def block(self, e, m):
         """The columns of multiplication by a^e = prod_j a_j^(e_j) from
         module codegree m, e an exponent vector on the elements:
         GradedModule.mult_columns of the power.
 
         Every differential and transition block of every slice is one of
-        these, built once.  a^e starts from its first nonzero factor and
-        multiplies the others in increasing j, which fixes the signs of odd
-        elements.  Its codegree is sum_j e_j |a_j|, so no term of it is
-        walked to find that.  A zero power (a nilpotent raised past its
-        order) gives None, a missing block.
+        these, built once.  The Cech levels rise one step at a time, so
+        each a_j^k comes from the power below it (element_power).  a^e
+        starts from its first nonzero factor and multiplies the others in
+        increasing j, which fixes the signs of odd elements.  Its codegree
+        is sum_j e_j |a_j|, so no term of it is walked to find that.  A
+        zero power (a nilpotent raised past its order) gives None, a
+        missing block.
         """
         if (e, m) not in self._blocks:
             if e not in self._powers:
-                factors = [self.ring.ppow(a, k) for a, k in zip(self.elements, e) if k]
+                factors = [self.element_power(j, k) for j, k in enumerate(e) if k]
                 self._powers[e] = (reduce(self.ring.pmul, factors) if factors
                                    else self.ring.pconst(1))
             p = self._powers[e]
@@ -191,7 +202,7 @@ class _CochainSlice:
         """Rank of the differential out of cochain degree i."""
         if i not in self._ranks:
             span = RowSpace(self.K.ring.field, self.term_dim(i + 1))
-            self._ranks[i] = span.extend(self.differential(i))
+            self._ranks[i] = len(span.extend(self.differential(i)))
         return self._ranks[i]
 
     def cohomology_dim(self, i):

@@ -445,7 +445,7 @@ class RowSpace:
         """Insert a vector; returns True if it enlarged the space.  Over
         GF(2) this is extend's loop on the one vector."""
         if self.packed:
-            return self.extend((vec,)) > 0
+            return bool(self.extend((vec,)))
         v = self._reduced(vec)
         if not v:
             return False
@@ -459,18 +459,19 @@ class RowSpace:
         return True
 
     def extend(self, vectors):
-        """Insert each of the vectors in turn; returns how many enlarged the
-        space.  The space left is the one the same inserts would leave.
+        """Insert each of the vectors in turn; returns the positions, in
+        the order given, of those that enlarged the space (its len is how
+        many did).  The space left is the one the same inserts would leave.
 
         Over GF(2) this is the one elimination loop (insert calls it too):
         the rows and pivot bits are held in locals and the caches cleared
         once.
         """
         if not self.packed:
-            return sum(map(self.insert, vectors))
-        rows, pivot_bits, added = self._rows, self._pivot_bits, 0
+            return [k for k, vec in enumerate(vectors) if self.insert(vec)]
+        rows, pivot_bits, added = self._rows, self._pivot_bits, []
         try:
-            for v in vectors:
+            for k, v in enumerate(vectors):
                 if v.__class__ is not int:
                     v = _pack(v)
                 hit = v & pivot_bits
@@ -481,7 +482,7 @@ class RowSpace:
                     low = v & -v
                     rows[low.bit_length() - 1] = v
                     pivot_bits |= low
-                    added += 1
+                    added.append(k)
         finally:
             self._pivot_bits = pivot_bits
             if added:

@@ -20,9 +20,15 @@ In a ring with no odd-signed generator, components and multiplication
 tables work on monomial codes: one int per monomial, with a bit field per
 generator exponent wide enough for codegree n (see GradedRing.code_width).
 A product of monomials is then the sum of their codes, and over GF(2) a
-row m * f enters RowSpace already packed, one bit per column.  Rings with
-odd-signed generators multiply exponent tuples with mono_times_poly, which
-tracks signs and odd squares.
+row m * f enters RowSpace already packed, one bit per column.  Such a
+component lists its codegree once, as codes (GradedRing.codes), and
+decodes to exponent tuples only its basis, when first asked.  Rings with
+odd-signed generators list exponent tuples and multiply them with
+mono_times_poly, which tracks signs and odd squares.
+
+Below the least codegree of a relation every monomial is a basis
+element, so GradedRing.dim counts the monomials there and builds no
+component.
 
 RingComponent.columns is the one product route: a polynomial p times a
 batch of monomials b, as the columns of each b * p.  It gives the
@@ -37,6 +43,7 @@ every other field sparse {position: value} dicts.
 
 from __future__ import annotations
 
+from functools import cached_property
 from operator import add, mul
 
 from .linalg import RowSpace
@@ -68,15 +75,19 @@ class GradedRing:
         self.coded = not self._odd_desc
         self._suffix_cache = {}  # (generator index, codegree) -> monomial suffixes
         self._code_cache = {}    # (generator index, codegree, field width) -> codes
+        self._counts = []        # codegree -> number of monomials, see _count
         self._component_cache = {}
         self._generator_products = {}  # (generator, codegree) -> columns
         self.relations = []
+        degrees = []
         for rel in (relations or []):
             rel = self._validated_poly(rel)
             if not rel:
                 continue
-            self.poly_codegree(rel)  # homogeneity check
+            degrees.append(self.poly_codegree(rel))  # homogeneity check
             self.relations.append(rel)
+        # below it every monomial is a basis element and dim counts them
+        self._least_relation = min(degrees, default=float("inf"))
 
     # -- polynomial arithmetic ----------------------------------------
     # A polynomial is a dict: exponent tuple -> nonzero scalar.
@@ -159,14 +170,22 @@ class GradedRing:
         return out
 
     def pmul(self, p, q):
+        """p * q, every term product summed into one dict."""
+        F = self.field
+        add, mul, z = F.add, F.mul, F.zero()
         out = {}
         for m, c in p.items():
-            out = self.padd(out, self.pscale(c, self.mono_times_poly(m, q)))
-        return out
+            for prod, x in self.mono_times_poly(m, q).items():
+                x = mul(c, x)
+                old = out.get(prod)
+                out[prod] = x if old is None else add(old, x)
+        return {m: x for m, x in out.items() if x != z}
 
     def ppow(self, p, n):
         """p^n (n >= 0) as a fresh dict, from the squares p^(2^k), which
         over GF(2) stay as sparse as p; p^1 costs no product."""
+        if n < 0:
+            raise ValueError(f"exponent must be at least 0, got {n}")
         if n == 0:
             return self.pconst(1)
         base, out = p, None
@@ -211,6 +230,22 @@ class GradedRing:
             self._suffix_cache[key] = out
         return self._suffix_cache[key]
 
+    def _count(self, n):
+        """len(monomials(n)), not listing them: the coefficient of t^n in
+        prod_i 1/(1 - t^|x_i|), with 1 + t^|x_i| for an odd-signed x_i,
+        which is _suffixes' recursion on counts.  The coefficients are
+        kept, and extended to at least twice as far when n is past them."""
+        counts = self._counts
+        if n >= len(counts):
+            top = max(n, 2 * len(counts))
+            counts = [1] + [0] * top
+            for d, odd in zip(self.codegrees, self.odd):
+                # times 1 + t^d, or 1/(1 - t^d) = 1 + t^d + t^(2d) + ...
+                for r in range(top, d - 1, -1) if odd else range(d, top + 1):
+                    counts[r] += counts[r - d]
+            self._counts = counts
+        return counts[n] if n >= 0 else 0
+
     def code_width(self, n):
         """Bits per exponent field in the monomial codes of codegree n.
 
@@ -249,6 +284,12 @@ class GradedRing:
             self._code_cache[key] = out
         return self._code_cache[key]
 
+    def decode(self, codes, w):
+        """The exponent tuples of monomials from their codes at field width w."""
+        mask = (1 << w) - 1
+        shifts = [w * i for i in reversed(range(self.ngens))]
+        return [tuple([k >> s & mask for s in shifts]) for k in codes]
+
     def recode(self, code, w, w2):
         """A monomial's code at field width w as its code at width w2."""
         out, mask = 0, (1 << w) - 1
@@ -281,6 +322,10 @@ class GradedRing:
         return cols
 
     def dim(self, n):
+        """dim R_n.  Below the least relation codegree it is the number of
+        monomials, counted without listing them or building a component."""
+        if n < self._least_relation:
+            return self._count(n)
         return self.component(n).dim
 
     def hilbert_prefix(self, n_max):
@@ -308,7 +353,9 @@ class RingComponent:
     the Macaulay rows m * f.  A monomial is known here by its key: in a
     coded ring (GradedRing.coded) its code at this codegree's field width,
     so that the key of b * m is the sum of the keys, and otherwise its
-    exponent tuple, multiplied by mono_times_poly.
+    exponent tuple, multiplied by mono_times_poly.  The columns are listed
+    once, as keys; basis, the monomials of the non-pivot columns, is made
+    (in a coded ring decoded) on first use, and dim needs no list.
 
     Not every row m * f is tried.  The level of a row is the least index
     of a generator in m, infinity for m = 1.  For each relation the
@@ -316,7 +363,9 @@ class RingComponent:
     span, in the order tried.  Codegree n tries the relations of codegree
     n, then, for j from the last generator down to the first, x_j * m * f
     for each kept row m * f of level >= j in codegree n - |x_j|.  So the
-    levels never rise along the order.
+    levels never rise along the order.  The rows of one relation at one
+    level go to RowSpace.extend in one call, whose positions say which
+    multipliers to keep.
 
     These rows still span the relations' codegree-n piece.  Take a row
     mu * f and write mu = x_k * nu, k the least index in mu.  A rejected
@@ -338,10 +387,11 @@ class RingComponent:
     def __init__(self, ring, n):
         self.ring = ring
         self.n = n
-        self.monomials_all = ring.monomials(n)
-        self._width = ring.code_width(n) if ring.coded else None
+        self._width = w = ring.code_width(n) if ring.coded else None
+        # the keys of the monomials of codegree n, in lex order: the columns
+        self._keys = keys = ring.monomials(n) if w is None else ring.codes(n, w)
         self._index = None
-        self._span = span = RowSpace(ring.field, len(self.monomials_all))
+        self._span = span = RowSpace(ring.field, len(keys))
         rels = [(r, ring.mono_codegree(next(iter(f))), f) for r, f in enumerate(ring.relations)]
         rels = [(r, d, self.terms(f)) for r, d, f in rels if d <= n]
         # per relation the kept multipliers' keys, and cuts[j][r]: how many
@@ -355,13 +405,18 @@ class RingComponent:
             for r, d, terms in rels:
                 bs = self._multipliers(j, r, d, lower)
                 if bs:
-                    kept = grown[r]
-                    for b, row in zip(bs, self.columns(bs, terms)):
-                        if row and span.insert(row):
-                            kept.append(b)
+                    grown[r].extend(map(bs.__getitem__, span.extend(self.columns(bs, terms))))
             cuts[j] = tuple(map(len, grown))
-        self.basis = [self.monomials_all[c] for c in span.nonpivot_columns()]
-        self.dim = len(self.basis)
+        self.dim = len(keys) - span.dim
+
+    @cached_property
+    def basis(self):
+        """The monomials (exponent tuples) of the non-pivot columns, in lex
+        order: in a coded ring decoded from their codes.  Built on first
+        use, so a component read only for its dimension never lists it."""
+        keys = self._keys
+        basis = [keys[c] for c in self._span.nonpivot_columns()]
+        return basis if self._width is None else self.ring.decode(basis, self._width)
 
     def _multipliers(self, j, r, d, lower):
         """The keys of the multipliers of level j that relation r (of
@@ -396,9 +451,7 @@ class RingComponent:
         in, such as one of a polynomial ring read for its dimension, never
         needs it."""
         if self._index is None:
-            keys = (self.monomials_all if self._width is None
-                    else self.ring.codes(self.n, self._width))
-            self._index = {k: c for c, k in enumerate(keys)}
+            self._index = {k: c for c, k in enumerate(self._keys)}
         return self._index
 
     def keys_of(self, monos):

@@ -1,0 +1,40 @@
+import json
+import os
+import subprocess
+import sys
+
+_ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+_TOOL = os.path.join(_ROOT, "tools", "answers_record.py")
+
+
+def _recorded(tmp_path, hash_seed):
+    out = tmp_path / f"answers-{hash_seed}.json"
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
+    subprocess.run([sys.executable, _TOOL, "--checkout", _ROOT, "--out", str(out)],
+                   check=True, env=env, capture_output=True, timeout=120)
+    return out.read_bytes()
+
+
+def test_answers_are_recorded_byte_for_byte_alike_in_fresh_processes(tmp_path):
+    # string hashing differs between the two processes, so no set or dict
+    # order that hashing decides can reach the file
+    first, second = _recorded(tmp_path, 0), _recorded(tmp_path, 1)
+    assert first == second
+    data = json.loads(first)
+    assert data["seed"] == 1
+    ops = {w: sorted(o) for w, o in data["workloads"].items()}
+    assert ops == {
+        "presented-rings": ["q8.cech", "q8.hilbert", "rational_x.cech",
+                            "rational_x.hilbert", "sd16.cech", "sd16.hilbert"],
+        "squeezed-groups": ["a4.gf16.squeezed", "a4.gf4.squeezed"],
+        "syzygies": ["a4_ring.gulliksen", "a4_ring.hypersurface", "c2r2.cech",
+                     "c2r2.duality", "d8.cech", "d8.duality", "g32n7.cech",
+                     "g32n7.duality"],
+    }
+    for workload in data["workloads"].values():
+        for entry in workload.values():
+            assert entry["problems"] == []
+    rings = data["workloads"]["presented-rings"]
+    assert rings["q8.hilbert"]["answer"][:5] == [1, 2, 2, 1, 1]
+    # a cell is [i, n, dim, certified]
+    assert [1, -3, 1, True] in rings["sd16.cech"]["answer"]["cells"]

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import densified
 from gradedalg.fields import PrimeField, Rationals
+from gradedalg.koszul import KoszulComplex
 from gradedalg.linalg import Matrix, RowSpace
 from gradedalg.parsing import parse_poly, ring_with_relations
 from gradedalg.presets import get_preset
@@ -273,6 +274,14 @@ def test_powers_match_repeated_products(field, gens, sources):
         assert p == parse_poly(src, ring)
 
 
+@pytest.mark.parametrize("n", [-1, -2, -7])
+def test_negative_powers_are_refused(n):
+    # n >> 1 stays -1 for a negative n, so the squaring loop never ended
+    ring = ring_with_relations(PrimeField(2), [("x", 1)], [])
+    with pytest.raises(ValueError):
+        ring.ppow(ring.gen_poly(0), n)
+
+
 
 # -- the coded route of unsigned rings against the tuple route -------------
 
@@ -382,20 +391,73 @@ def test_ordered_macaulay_rows_span_what_all_rows_do_in_any_build_order(case, or
     _assert_components_match_reference(ring, p, rnd)
 
 
+def _pmul_reference(ring, p, q):
+    """The product pmul replaced, kept as the reference: each term of p
+    times q, scaled and added to a fresh copy of the running sum."""
+    out = {}
+    for m, c in p.items():
+        out = ring.padd(out, ring.pscale(c, ring.mono_times_poly(m, q)))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_unsigned_rings(), _signed_rings()), st.data())
+def test_products_match_the_copying_route(case, data):
+    # GF(2), GF(3) and QQ unsigned, GF(3) and QQ signed; in (p + q)^2 the
+    # cross terms cancel over GF(2) and where p and q are odd
+    ring, p, _ = case
+    q = _homogeneous(data.draw, ring, data.draw(st.integers(0, 4)))
+    s = ring.padd(p, q)
+    for a, b in ((p, q), (q, p), (s, s)):
+        assert ring.pmul(a, b) == _pmul_reference(ring, a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_unsigned_rings(), _signed_rings()), st.permutations(range(-2, 25)))
+def test_counted_dimensions_match_the_listed_monomials(case, order):
+    # a drawn order asks for the counts past the kept ones at any point
+    ring, _, _ = case
+    free = GradedRing(ring.field, ring.gens)
+    least = min((ring.poly_codegree(f) for f in ring.relations), default=25)
+    for n in order:
+        assert free.dim(n) == len(free.monomials(n)), n
+        if n < least:
+            assert ring.dim(n) == len(ring.monomials(n)), n
+            assert n not in ring._component_cache
+        else:
+            assert ring.dim(n) == ring.component(n).dim == len(ring.component(n).basis)
+    assert not free._component_cache
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(_unsigned_rings(), _signed_rings()), st.data())
+def test_kept_koszul_powers_match_ppow(case, data):
+    ring, p, _ = case
+    elements = [f for f in (p, _homogeneous(data.draw, ring, 2)) if f and ring.poly_codegree(f)]
+    if ring.signed:
+        elements = elements[:1]  # at most one odd element
+    K = KoszulComplex(ring, elements)
+    for j, a in enumerate(elements):
+        for k in data.draw(st.permutations(range(1, 8))):
+            assert K.element_power(j, k) == ring.ppow(a, k), (j, k)
+
+
 def test_sd16_components_try_fewer_rows_than_all_products(monkeypatch):
     ring = get_preset("sd16").build_ring()
     tried, enlarged = [], []
-    original = RowSpace.insert
+    original = RowSpace.extend
 
-    def counted(self, vec):
-        grew = original(self, vec)
-        tried.append(vec)
-        if grew:
-            enlarged.append(vec)
+    def counted(self, vectors):
+        # components pass each batch of Macaulay rows to extend in one call
+        vectors = list(vectors)
+        grew = original(self, vectors)
+        tried.extend(vectors)
+        enlarged.extend(vectors[k] for k in grew)
         return grew
 
-    monkeypatch.setattr(RowSpace, "insert", counted)
-    dims = [ring.dim(n) for n in range(25)]  # in order: every lower one is cached
+    monkeypatch.setattr(RowSpace, "extend", counted)
+    # in order: every lower component the level rule reads is cached
+    dims = [ring.dim(n) for n in range(25)]
     ideal = sum(len(ring.monomials(n)) - dims[n] for n in range(25))
     every_row = sum(len(ring.monomials(n - ring.poly_codegree(f)))
                     for f in ring.relations for n in range(25))

@@ -1,0 +1,86 @@
+"""Record every answer the benchmark's workloads compute, to compare two checkouts.
+
+Usage, from the repository root, with the parent commit checked out
+elsewhere (git clone or git archive, not a worktree):
+
+    python3 tools/answers_record.py --checkout ../parent --out parent.json
+    python3 tools/answers_record.py --checkout . --out change.json
+    cmp parent.json change.json
+
+It imports the library and bench/workloads.py of the checkout, builds
+each workload's inputs at the seed (1 by default) and runs one pass of
+its operations in order, as bench/run.py does, untimed.  Every
+operation's output goes into one JSON file: Hilbert prefixes, each Cech
+or duality cell with its certified flag and the table's stopping rule,
+the hypersurface's codegree and polynomial, the residue field's Betti
+data and the squeezed homology, with the problems the workload's oracle
+found (none, on correct code).  Keys are sorted and polynomials listed
+term by term in sorted order, so the file depends on the answers alone:
+two checkouts that compute the same answers write the same bytes.
+Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+
+
+def answer(value):
+    """An operation's output as JSON data."""
+    if hasattr(value, "certified") and hasattr(value, "dims"):  # a CohomologyTable
+        return {"method": value.method, "top": value.top, "degrees": value.degrees,
+                "stopping_rule": value.stopping_rule,
+                "cells": [[i, n, value.dims[i, n], value.certified[i, n]]
+                          for i, n in sorted(value.dims)]}
+    if hasattr(value, "quotient") and hasattr(value, "f"):  # a HypersurfaceData
+        return {"d": value.d, "f": answer(value.f)}
+    if isinstance(value, dict):
+        if all(isinstance(k, tuple) for k in value):  # a polynomial
+            return sorted([list(m), str(c)] for m, c in value.items())
+        return {str(k): answer(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [answer(v) for v in value]
+    if value is None or isinstance(value, (bool, int, str)):
+        return value
+    return str(value)
+
+
+def record(checkout, seed):
+    """{workload: {operation: {"answer": .., "problems": [..]}}} for one
+    pass of every workload of the checkout at the seed."""
+    src, bench = (os.path.join(os.path.abspath(checkout), d) for d in ("src", "bench"))
+    sys.path[:0] = [src, bench]
+    import gradedalg
+    import workloads
+
+    found = os.path.dirname(os.path.dirname(os.path.abspath(gradedalg.__file__)))
+    if found != src:
+        raise RuntimeError(f"imported gradedalg from {found}, not {src}")
+    out = {}
+    for name, (setup, make_ops) in sorted(workloads.WORKLOADS.items()):
+        ctx, ops = {}, {}
+        for op in make_ops(setup(seed)):
+            result = op.run(ctx)
+            ops[op.name] = {"answer": answer(result), "problems": op.check(result, ctx)}
+        out[name] = ops
+    return out
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--checkout", default=".")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--out", required=True)
+    args = parser.parse_args(argv)
+    data = {"seed": args.seed, "workloads": record(args.checkout, args.seed)}
+    with open(args.out, "w") as f:
+        json.dump(data, f, indent=1, sort_keys=True)
+        f.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
