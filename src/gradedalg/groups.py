@@ -20,23 +20,51 @@ def _p_part(n, p):
     return m
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_prime(p):
+    """Refuse a Sylow prime that is not a prime int: p = 1 or True divides
+    every order, and _p_part would never stop."""
+    if not (_is_int(p) and p >= 2 and all(p % q for q in range(2, int(p ** 0.5) + 1))):
+        raise GroupError(f"the Sylow prime p must be a prime integer, got {p!r}")
+
+
+def _index_list(value, n, what):
+    """`value` as a list of element indices, or GroupError."""
+    if not isinstance(value, (list, tuple)):
+        raise GroupError(f"{what} must be a list of element indices")
+    for x in value:
+        if not _is_int(x):
+            raise GroupError(f"{what} entries must be integers, got {x!r}")
+        if not 0 <= x < n:
+            raise GroupError(f"{what} entry {x} is not an element index in [0, {n})")
+    return list(value)
+
+
 class GroupTable:
     """A finite group as an order-n multiplication table of indices."""
 
     def __init__(self, table, sylow=None, p=None):
+        if not isinstance(table, (list, tuple)):
+            raise GroupError("multiplication table must be a list of rows")
         self.n = len(table)
-        self.table = [list(row) for row in table]
+        self.table = [_index_list(row, self.n, "multiplication table row")
+                      for row in table]
         if any(len(row) != self.n for row in self.table):
             raise GroupError("multiplication table must be square")
         self._check_axioms()
         self.identity = self._find_identity()
         self.inverse = self._find_inverses()
-        self.sylow = None
+        if p is not None:
+            _check_prime(p)
         self.p = p
+        self.sylow = None
         if sylow is not None:
             if p is None:
                 raise GroupError("sylow subgroup requires the prime p")
-            self.sylow = sorted(set(sylow))
+            self.sylow = sorted(set(_index_list(sylow, self.n, "sylow")))
             self._check_sylow()
 
     def mul(self, g, h):
@@ -145,6 +173,7 @@ def cyclic_group(n, p=None):
     table = _table_from_elements(els, lambda a, b: (a + b) % n)
     if p is None:
         p = next(q for q in range(2, n + 1) if n % q == 0)
+    _check_prime(p)
     sylow = [e for e in els if _order_divides_p_power(e, n, p)]
     return GroupTable(table, sylow=sylow, p=p)
 
@@ -263,9 +292,23 @@ def group_preset(name):
         raise GroupError(f"unknown group preset {name!r}")
 
 
+_GROUP_KEYS = ("order", "table", "sylow", "char")
+
+
 def group_from_dict(data):
-    """{"order": n, "table": [[...]], "sylow": [...], "char": p}"""
-    table = data["table"]
-    if len(table) != data.get("order", len(table)):
+    """{"order": n, "table": [[...]], "sylow": [...], "char": p}
+
+    Only these keys are read, and "table" is required; anything else is
+    a GroupError, as is whatever GroupTable refuses.
+    """
+    if not isinstance(data, dict):
+        raise GroupError("a group must be a JSON object")
+    unknown = sorted(set(data) - set(_GROUP_KEYS))
+    if unknown:
+        raise GroupError(f"unknown group keys {unknown}; allowed: {list(_GROUP_KEYS)}")
+    if "table" not in data:
+        raise GroupError("a group needs a 'table' entry")
+    group = GroupTable(data["table"], sylow=data.get("sylow"), p=data.get("char"))
+    if "order" in data and not (_is_int(data["order"]) and data["order"] == group.n):
         raise GroupError("order field disagrees with table size")
-    return GroupTable(table, sylow=data.get("sylow"), p=data.get("char"))
+    return group

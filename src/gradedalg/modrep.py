@@ -11,6 +11,11 @@ the group's generators only (GroupTable.generators, computed once per
 GroupAlgebra), as the Meat-Axe spins a vector: in a finite group every
 element is a positive word in the generators, so whatever each
 generator preserves or commutes with, every element does.
+
+What depends on the algebra alone is built once per GroupAlgebra, on
+first use, and kept on it: the radical basis of kG, which every radical
+submodule reads, and the principal indecomposables, which every
+projective cover shares.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ class GroupAlgebra:
         # the generating set every module loop acts through
         self.generators = group.generators()
         self._pims = None  # principal_indecomposables, built on first use
+        self._radical = None  # radical_basis, built on first use
 
     def zero(self):
         return [self.field.zero()] * self.n
@@ -86,7 +92,17 @@ class GroupAlgebra:
         return GroupModule(self, mats)
 
     def radical_basis(self):
-        """Basis of rad(kG) = kG * (augmentation ideal of the Sylow subgroup)."""
+        """Basis of rad(kG) = kG * (augmentation ideal of the Sylow subgroup).
+
+        Built on first use and kept, as a tuple of tuples, so that no
+        caller can change the copy every later call returns.
+        """
+        if self._radical is None:
+            self._radical = tuple(tuple(v) for v in self._build_radical_basis())
+        return self._radical
+
+    def _build_radical_basis(self):
+        """Independent products g(s - 1), g in G and s in the Sylow subgroup."""
         span = RowSpace(self.field, self.n)
         out = []
         e = self.group.identity
@@ -296,7 +312,8 @@ class GroupModule:
 
 
 def radical(algebra: GroupAlgebra):
-    """Radical basis plus the semisimplicity certificate of the quotient."""
+    """The algebra's radical basis (its kept tuple), once the semisimplicity
+    certificate of the quotient holds."""
     basis = algebra.radical_basis()
     if not algebra.semisimple_quotient_certificate():
         raise RepresentationError("semisimple quotient certificate failed")

@@ -7,10 +7,11 @@ _ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 _TOOL = os.path.join(_ROOT, "tools", "answers_record.py")
 
 
-def _recorded(tmp_path, hash_seed):
-    out = tmp_path / f"answers-{hash_seed}.json"
+def _recorded(tmp_path, hash_seed, *seeds):
+    out = tmp_path / f"answers-{hash_seed}-{'-'.join(map(str, seeds))}.json"
     env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
-    subprocess.run([sys.executable, _TOOL, "--checkout", _ROOT, "--out", str(out)],
+    flags = [arg for seed in seeds for arg in ("--seed", str(seed))]
+    subprocess.run([sys.executable, _TOOL, "--checkout", _ROOT, *flags, "--out", str(out)],
                    check=True, env=env, capture_output=True, timeout=120)
     return out.read_bytes()
 
@@ -20,7 +21,7 @@ def test_answers_are_recorded_byte_for_byte_alike_in_fresh_processes(tmp_path):
     # order that hashing decides can reach the file
     first, second = _recorded(tmp_path, 0), _recorded(tmp_path, 1)
     assert first == second
-    data = json.loads(first)
+    (data,) = json.loads(first)["records"]
     assert data["seed"] == 1
     ops = {w: sorted(o) for w, o in data["workloads"].items()}
     assert ops == {
@@ -38,3 +39,18 @@ def test_answers_are_recorded_byte_for_byte_alike_in_fresh_processes(tmp_path):
     assert rings["q8.hilbert"]["answer"][:5] == [1, 2, 2, 1, 1]
     # a cell is [i, n, dim, certified]
     assert [1, -3, 1, True] in rings["sd16.cech"]["answer"]["cells"]
+
+
+def test_each_of_several_seeds_is_recorded_as_it_is_alone(tmp_path):
+    # the seeds share one process, and no state one seed leaves behind
+    # may change another's answers
+    both = json.loads(_recorded(tmp_path, 0, 7, 1))["records"]
+    assert [r["seed"] for r in both] == [1, 7]
+    alone = json.loads(_recorded(tmp_path, 0, 7))["records"]
+    assert both[1] == alone[0]
+    # squeezed-groups relabels its group by seed: the same homology, from
+    # other element indices
+    squeezed = [r["workloads"]["squeezed-groups"] for r in both]
+    assert squeezed[0] == squeezed[1]
+    assert all(e["problems"] == [] for r in both for w in r["workloads"].values()
+               for e in w.values())

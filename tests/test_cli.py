@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -155,6 +158,23 @@ def test_squeezed_homology_of_a4(capsys):
                     "--field-degree", "2", "--steps", "6"]) == 0
     out = capsys.readouterr().out
     assert "1, 1, 2, 2, 2, 2, 2" in out
+
+
+_CLI = "import sys; from gradedalg.cli import run_cli; sys.exit(run_cli(sys.argv[1:]))"
+
+
+def test_a_group_file_with_p_one_exits_2(ring_file):
+    # p = 1 sent the Sylow order check into an endless loop, so the run
+    # gets a fresh process and a timeout
+    c2 = {"order": 2, "table": [[0, 1], [1, 0]], "sylow": [0, 1], "char": 1}
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    done = subprocess.run(
+        [sys.executable, "-c", _CLI, "squeezed", "--group-file",
+         ring_file(c2, "group.json"), "--char", "2"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=30)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error:") and "prime" in done.stderr
 
 
 def test_preset_list_names_every_entry(capsys):

@@ -183,6 +183,34 @@ def test_principal_indecomposables_are_built_once_per_algebra(monkeypatch):
     assert len(builds) == 2  # one more algebra, one more regular module
 
 
+def test_the_radical_basis_is_built_once_per_algebra(monkeypatch):
+    builds = _counting(monkeypatch, GroupAlgebra, "_build_radical_basis")
+    dims, homology = squeezed_resolution(group_preset("a4"), F4, 6)
+    assert homology == [1, 1, 2, 2, 2, 2, 2]
+    assert len(builds) == 1  # not once per radical submodule
+    A = GroupAlgebra(group_preset("a4"), F4)
+    first = radical(A)
+    assert radical(A) == first and len(first) == 9
+    assert len(builds) == 2  # one more algebra, one more build
+
+
+def test_a_caller_cannot_change_the_kept_radical_basis():
+    A = GroupAlgebra(group_preset("a4"), F4)
+    k = GroupModule.trivial(A)
+    P, surj = projective_cover(k)
+    rad = radical(A)
+    with pytest.raises(TypeError):
+        rad[0][0] = F4.one()
+    with pytest.raises(AttributeError):
+        rad.append(A.one())
+    copy = [list(v) for v in rad]
+    copy[0][0] = F4.add(copy[0][0], F4.one())
+    copy.pop()
+    assert A.radical_basis() is rad and len(rad) == 9
+    again, again_surj = projective_cover(k)
+    assert again.mats == P.mats and again_surj == surj
+
+
 def test_restriction_eliminates_the_inclusion_once(monkeypatch):
     A = GroupAlgebra(group_preset("a4"), F4)
     reg = A.regular_module()
@@ -338,3 +366,39 @@ def test_a_basis_fixed_by_one_generator_only_spans_no_submodule(name, field):
     assert all(reg.mats[s].apply(b) in basis for b in basis)
     with pytest.raises(RepresentationError, match="does not span a submodule"):
         reg.restrict_to(basis)
+
+
+# -- the kept radical basis against a fresh build per call ----------------
+
+def _radical_basis_every_call(algebra):
+    """rad(kG) built anew on every call, as radical_basis did before it
+    was kept on the algebra."""
+    span = RowSpace(algebra.field, algebra.n)
+    out = []
+    e = algebra.group.identity
+    for g in range(algebra.n):
+        for s in algebra.group.sylow:
+            if s == e:
+                continue
+            v = algebra.sub(algebra.basis_element(algebra.group.table[g][s]),
+                            algebra.basis_element(g))
+            if span.insert(v):
+                out.append(v)
+    return out
+
+
+def _covers(name, field):
+    A = GroupAlgebra(group_preset(name), field)
+    covers = []
+    for M in (GroupModule.trivial(A), A.regular_module()):
+        P, surj = projective_cover(M)
+        covers.append((P.mats, surj))
+    return covers
+
+
+@pytest.mark.parametrize("name,field", _GENERATOR_CASES)
+def test_the_kept_radical_basis_changes_no_answer(monkeypatch, name, field):
+    group = group_preset(name)
+    got = squeezed_resolution(group, field, 2), _covers(name, field)
+    monkeypatch.setattr(GroupAlgebra, "radical_basis", _radical_basis_every_call)
+    assert got == (squeezed_resolution(group, field, 2), _covers(name, field))

@@ -3,13 +3,19 @@
 Usage, from the repository root, with the parent commit checked out
 elsewhere (git clone or git archive, not a worktree):
 
-    python3 tools/answers_record.py --checkout ../parent --out parent.json
-    python3 tools/answers_record.py --checkout . --out change.json
+    python3 tools/answers_record.py --checkout ../parent --seed 1 --seed 7 \
+        --seed 13 --out parent.json
+    python3 tools/answers_record.py --checkout . --seed 1 --seed 7 \
+        --seed 13 --out change.json
     cmp parent.json change.json
 
-It imports the library and bench/workloads.py of the checkout, builds
-each workload's inputs at the seed (1 by default) and runs one pass of
-its operations in order, as bench/run.py does, untimed.  Every
+It imports the library and bench/workloads.py of the checkout and, for
+each seed given (1 when none is), builds each workload's inputs at that
+seed and runs one pass of its operations in order, as bench/run.py does,
+untimed.  Several seeds are worth recording: squeezed-groups relabels
+its groups by seed, so each seed reaches the algebra through other
+element indices.  The file lists one record per seed, in ascending
+order of seed, each with the seed and its workloads.  Every
 operation's output goes into one JSON file: Hilbert prefixes, each Cech
 or duality cell with its certified flag and the table's stopping rule,
 the hypersurface's codegree and polynomial, the residue field's Betti
@@ -48,9 +54,8 @@ def answer(value):
     return str(value)
 
 
-def record(checkout, seed):
-    """{workload: {operation: {"answer": .., "problems": [..]}}} for one
-    pass of every workload of the checkout at the seed."""
+def load_workloads(checkout):
+    """The checkout's WORKLOADS table, with its library on the path."""
     src, bench = (os.path.join(os.path.abspath(checkout), d) for d in ("src", "bench"))
     sys.path[:0] = [src, bench]
     import gradedalg
@@ -59,8 +64,14 @@ def record(checkout, seed):
     found = os.path.dirname(os.path.dirname(os.path.abspath(gradedalg.__file__)))
     if found != src:
         raise RuntimeError(f"imported gradedalg from {found}, not {src}")
+    return workloads.WORKLOADS
+
+
+def record(table, seed):
+    """{workload: {operation: {"answer": .., "problems": [..]}}} for one
+    pass of every workload of the WORKLOADS table at the seed."""
     out = {}
-    for name, (setup, make_ops) in sorted(workloads.WORKLOADS.items()):
+    for name, (setup, make_ops) in sorted(table.items()):
         ctx, ops = {}, {}
         for op in make_ops(setup(seed)):
             result = op.run(ctx)
@@ -72,10 +83,13 @@ def record(checkout, seed):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--checkout", default=".")
-    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seed", type=int, action="append",
+                        help="a seed to record; repeat for several (default 1)")
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
-    data = {"seed": args.seed, "workloads": record(args.checkout, args.seed)}
+    table = load_workloads(args.checkout)
+    data = {"records": [{"seed": seed, "workloads": record(table, seed)}
+                        for seed in sorted(set(args.seed or [1]))]}
     with open(args.out, "w") as f:
         json.dump(data, f, indent=1, sort_keys=True)
         f.write("\n")
