@@ -15,6 +15,10 @@ and `bits` build and read vectors of either kind.  `place` is where
 columns are moved to an offset and summed, and `shifted` where they are
 moved and set one after the other: the free-module, Koszul and Cech
 blocks are assembled through them, and only they know how.
+`combine_all` is where a batch of vectors is multiplied by coefficient
+vectors, the resolution's kernel products and Matrix's product rows
+among them: over GF(2) it holds the one XOR-by-set-bits loop, which
+`combine` runs on a single coefficient vector.
 
 Matrix holds its rows in that format, its only storage, so its products,
 transposes, direct sums and elimination touch only nonzero entries
@@ -146,8 +150,8 @@ class Matrix:
             raise FieldError("matrix product requires matching fields")
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch in matrix product")
-        return Matrix._of(self.field, [combine(self.field, other.srows, arow)
-                                       for arow in self.srows], other.ncols)
+        return Matrix._of(self.field, combine_all(self.field, other.srows, self.srows),
+                          other.ncols)
 
     def apply(self, vec):
         """Matrix times a column vector, a list, a {k: value} dict or, over
@@ -285,13 +289,10 @@ def combine(field, vectors, coeffs):
 
     coeffs is a list, a {k: value} dict or, over GF(2), an int, and only
     its nonzero entries are visited.  Over GF(2) the sum is the XOR of the
-    vectors at the set bits of coeffs.
+    vectors at the set bits of coeffs, formed by combine_all.
     """
     if field.packed:
-        out = 0
-        for k in bits(_pack(coeffs)):
-            out ^= vectors[k]
-        return out
+        return combine_all(field, vectors, (coeffs,))[0]
     add, mul, z = field.add, field.mul, field.zero()
     out = {}
     for k, c in (coeffs.items() if isinstance(coeffs, dict) else enumerate(coeffs)):
@@ -301,6 +302,29 @@ def combine(field, vectors, coeffs):
             old = out.get(col)
             out[col] = mul(c, x) if old is None else add(old, mul(c, x))
     return {col: x for col, x in out.items() if x != z}
+
+
+def combine_all(field, vectors, coeff_list):
+    """[combine(field, vectors, c) for c in coeff_list]: one sum of the
+    vectors for each coefficient vector, in the order given.
+
+    Over GF(2) this is the one product loop: each sum XORs the vectors at
+    the set bits of its coefficient int, with no list of bit positions
+    and no call per sum.  Every other field sums through combine.
+    """
+    if not field.packed:
+        return [combine(field, vectors, c) for c in coeff_list]
+    out = []
+    for c in coeff_list:
+        if c.__class__ is not int:
+            c = _pack(c)
+        acc = 0
+        while c:
+            low = c & -c
+            acc ^= vectors[low.bit_length() - 1]
+            c ^= low
+        out.append(acc)
+    return out
 
 
 def place(field, blocks, count):

@@ -35,13 +35,21 @@ kept vectors of lower levels had spanned its codegree first.  Up to
 sign every monomial times every generator is such a product, and they
 span K.  The span, and with it each generator, differential and Betti
 entry, is that of all the products.
+
+The products of one (j, a), x_j * u for the kept u of level <= j, are
+formed as one batch (linalg.combine_all) and inserted by one
+RowSpace.extend, which keeps those that enlarged the span.  The kept
+set is the one inserting them one at a time would keep: extend inserts
+in the order given, and once the span reaches dim K_n no later product,
+which lies in K_n, can enlarge it.  The kernel-basis candidates are
+still inserted one at a time, each only while the span falls short.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import RowSpace, combine, unit_vector
+from .linalg import RowSpace, combine_all, unit_vector
 from .modules import FreeModule, GradedModule, PolyMatrix
 
 
@@ -92,21 +100,6 @@ class Resolution:
         self.augmentation = augmentation  # F_0 -> M, a PolyMatrix into M
         self.betti = betti
 
-    def check_complex(self, degrees):
-        """d_i o d_{i+1} = 0 at the listed codegrees (exact matrix products)."""
-        for i in range(len(self.diffs) - 1):
-            comp = self.diffs[i].compose(self.diffs[i + 1])
-            if not comp.is_zero_on(degrees):
-                return False
-        # augmentation o d_1
-        if self.diffs:
-            d1 = self.diffs[0]
-            for n in degrees:
-                prod = self.augmentation.matrix_at(n).mul(d1.matrix_at(n))
-                if not prod.is_zero():
-                    return False
-        return True
-
 
 def _kernel_generators(ambient, diff, dims, top):
     """Minimal generators of a graded submodule K of ambient, codegrees up
@@ -145,13 +138,8 @@ def _kernel_generators(ambient, diff, dims, top):
             lower = [u for level, u in bases.get(a, ()) if level <= j]
             if not lower:
                 continue
-            products = ambient.generator_columns(j, a)
-            for u in lower:
-                w = combine(F, products, u)
-                if span.insert(w):
-                    basis.append((j, w))
-                    if span.dim == want:
-                        break
+            ws = combine_all(F, ambient.generator_columns(j, a), lower)
+            basis.extend((j, ws[k]) for k in span.extend(ws))
         if span.dim == want:
             continue
         if diff is None:

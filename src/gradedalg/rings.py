@@ -133,13 +133,6 @@ class GradedRing:
     def psub(self, p, q):
         return self.padd(p, self.pneg(q))
 
-    def pscale(self, c, p):
-        F = self.field
-        z = F.zero()
-        if c == z:
-            return {}
-        return {m: F.mul(c, v) for m, v in p.items()}
-
     def mono_codegree(self, mono):
         return sum(map(mul, mono, self.codegrees))
 

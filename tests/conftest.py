@@ -25,6 +25,15 @@ def check_named(report, check_name):
                          f"has {[c['check'] for c in report['checks']]}")
 
 
+def pscale(ring, c, p):
+    """The polynomial c * p of the ring, coefficient by coefficient."""
+    F = ring.field
+    z = F.zero()
+    if c == z:
+        return {}
+    return {m: F.mul(c, v) for m, v in p.items()}
+
+
 def densified(field, vec, n):
     """A length-n vector as a list, checked to be in its field's format.
 

@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import pscale
 from gradedalg.fields import PrimeField
 from gradedalg.hypersurface import (HypersurfaceData, HypersurfaceError, MatrixFactorization,
                                     splice_periodic_resolution,
@@ -132,7 +133,7 @@ def test_perturbed_matrix_factorization_fails_verification():
     mf = matrix_factorization_from_resolution(h, m)
     columns = [dict(col) for col in mf.B.columns]
     r, c = min((r, c) for c, col in enumerate(columns) for r in col)
-    columns[c][r] = base.pscale(2, columns[c][r])
+    columns[c][r] = pscale(base, 2, columns[c][r])
     B = PolyMatrix(mf.B.target, mf.B.source, columns)
     assert mf.verify()
     assert not MatrixFactorization(h, mf.A, B).verify()

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import densified
 from gradedalg.fields import ExtensionField, FieldError, PrimeField, Rationals
-from gradedalg.linalg import Matrix, RowSpace, combine, place, shifted
+from gradedalg.linalg import Matrix, RowSpace, combine, combine_all, place, shifted
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -516,6 +516,41 @@ def test_matrix_matches_dense_references(case):
     assert summed.rows == expected and (summed.nrows, summed.ncols) == (n + p, k + n)
     assert summed.transpose().rows == [[r[j] for r in expected] for j in range(k + n)]
 
+
+
+@st.composite
+def _product_batches(draw):
+    """A field, a width, vectors in the field's format with their dense
+    rows, and coefficient vectors as dense lists and as one drawn input
+    form each.  The batch may be empty; when there are vectors it ends
+    with a zero coefficient vector and one that reaches the last vector.
+    GF(2) widths reach past one int digit."""
+    F = draw(st.sampled_from((F2, F3, F4, QQ)))
+    values = [F.from_int(k) for k in (1, -1, 2)] + ([F.generator()] if F is F4 else [])
+    values = [v for i, v in enumerate(values) if v != F.zero() and v not in values[:i]]
+    elem = st.sampled_from([F.zero()] * 2 + values)
+    count, width = draw(st.integers(0, 6)), draw(st.integers(0, 70))
+    rows = [[draw(elem) for _ in range(width)] for _ in range(count)]
+    vectors = [_as_int(r) if F is F2 else _as_dict(F, r) for r in rows]
+    dense = draw(st.lists(st.lists(elem, min_size=count, max_size=count), max_size=4))
+    if count:
+        dense += [[F.zero()] * count, [F.zero()] * (count - 1) + [draw(st.sampled_from(values))]]
+    coeff_list = [draw(st.sampled_from(_forms(F, c))) for c in dense]
+    return F, width, vectors, rows, dense, coeff_list
+
+
+@settings(max_examples=300, deadline=None)
+@given(_product_batches())
+def test_combine_all_is_combine_on_each_coefficient_vector(case):
+    # one batched product against per-vector combine and dense sums over
+    # GF(2), GF(3), GF(4) and QQ; nothing given is changed
+    F, width, vectors, rows, dense, coeff_list = case
+    before = copy.deepcopy((vectors, coeff_list))
+    got = combine_all(F, vectors, coeff_list)
+    assert got == [combine(F, vectors, c) for c in coeff_list]
+    assert [densified(F, v, width) for v in got] == _dense_mul(F, dense, rows, width)
+    assert combine_all(F, vectors, []) == []
+    assert (vectors, coeff_list) == before
 
 
 @st.composite

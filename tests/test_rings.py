@@ -3,7 +3,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import densified
+from conftest import densified, pscale
 from gradedalg.fields import PrimeField, Rationals
 from gradedalg.koszul import KoszulComplex
 from gradedalg.linalg import Matrix, RowSpace
@@ -396,7 +396,7 @@ def _pmul_reference(ring, p, q):
     times q, scaled and added to a fresh copy of the running sum."""
     out = {}
     for m, c in p.items():
-        out = ring.padd(out, ring.pscale(c, ring.mono_times_poly(m, q)))
+        out = ring.padd(out, pscale(ring, c, ring.mono_times_poly(m, q)))
     return out
 
 
