@@ -9,11 +9,10 @@ _ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 _TOOL = os.path.join(_ROOT, "tools", "answers_record.py")
 
 
-def _recorded(tmp_path, hash_seed, *seeds, presets=False):
-    out = tmp_path / f"answers-{hash_seed}-{'-'.join(map(str, seeds))}-{presets}.json"
+def _recorded(tmp_path, hash_seed, *seeds):
+    out = tmp_path / f"answers-{hash_seed}-{'-'.join(map(str, seeds))}.json"
     env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
     flags = [arg for seed in seeds for arg in ("--seed", str(seed))]
-    flags += ["--presets"] if presets else []
     subprocess.run([sys.executable, _TOOL, "--checkout", _ROOT, *flags, "--out", str(out)],
                    check=True, env=env, capture_output=True, timeout=120)
     return out.read_bytes()
@@ -24,7 +23,7 @@ def test_answers_are_recorded_byte_for_byte_alike_in_fresh_processes(tmp_path):
     # order that hashing decides can reach the file
     first, second = _recorded(tmp_path, 0), _recorded(tmp_path, 1)
     assert first == second
-    assert sorted(json.loads(first)) == ["records"]  # no presets without --presets
+    assert sorted(json.loads(first)) == ["presets", "records"]
     (data,) = json.loads(first)["records"]
     assert data["seed"] == 1
     ops = {w: sorted(o) for w, o in data["workloads"].items()}
@@ -43,6 +42,14 @@ def test_answers_are_recorded_byte_for_byte_alike_in_fresh_processes(tmp_path):
     assert rings["q8.hilbert"]["answer"][:5] == [1, 2, 2, 1, 1]
     # a cell is [i, n, dim, certified]
     assert [1, -3, 1, True] in rings["sd16.cech"]["answer"]["cells"]
+    # every preset's report, recorded once; a small one as preset_run gives it
+    presets = json.loads(first)["presets"]
+    assert sorted(presets) == preset_names()
+    c2r1 = presets["c2r1"]
+    assert c2r1 == preset_run("c2r1")
+    assert c2r1["pass"] and [c["check"] for c in c2r1["checks"]] == [
+        "hilbert_prefix", "cm_functional_equation", "cech_certified", "methods_agree",
+        "grothendieck_vanishing", "gorenstein_duality"]
 
 
 def test_each_of_several_seeds_is_recorded_as_it_is_alone(tmp_path):
@@ -58,18 +65,3 @@ def test_each_of_several_seeds_is_recorded_as_it_is_alone(tmp_path):
     assert squeezed[0] == squeezed[1]
     assert all(e["problems"] == [] for r in both for w in r["workloads"].values()
                for e in w.values())
-
-
-def test_every_preset_report_is_recorded_once_and_byte_for_byte_alike(tmp_path):
-    first = _recorded(tmp_path, 0, presets=True)
-    assert first == _recorded(tmp_path, 1, presets=True)
-    data = json.loads(first)
-    assert sorted(data) == ["presets", "records"]
-    assert [r["seed"] for r in data["records"]] == [1]
-    assert sorted(data["presets"]) == preset_names()
-    # a small preset's report, as preset_run gives it
-    c2r1 = data["presets"]["c2r1"]
-    assert c2r1 == preset_run("c2r1")
-    assert c2r1["pass"] and [c["check"] for c in c2r1["checks"]] == [
-        "hilbert_prefix", "cm_functional_equation", "cech_certified", "methods_agree",
-        "grothendieck_vanishing", "gorenstein_duality"]

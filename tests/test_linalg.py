@@ -543,7 +543,9 @@ def _product_batches(draw):
 @given(_product_batches())
 def test_combine_all_is_combine_on_each_coefficient_vector(case):
     # one batched product against per-vector combine and dense sums over
-    # GF(2), GF(3), GF(4) and QQ; nothing given is changed
+    # GF(2), GF(3), GF(4) and QQ; nothing given is changed.  Over GF(2)
+    # combine is combine_all on one coefficient vector, so there the dense
+    # sums are the independent reference for the XOR loop
     F, width, vectors, rows, dense, coeff_list = case
     before = copy.deepcopy((vectors, coeff_list))
     got = combine_all(F, vectors, coeff_list)

@@ -9,10 +9,10 @@ elsewhere (git clone or git archive, not a worktree):
         --seed 13 --out change.json
     cmp parent.json change.json
 
-With --presets the file also holds, under a top-level "presets" key,
-the preset_run report of every catalog preset, recorded once: each is a
-dict of named checks with their verdicts and details, and no timing, so
-the comparison covers the catalog as well as the workloads.
+The file also holds, under a top-level "presets" key, the preset_run
+report of every catalog preset, recorded once: each is a dict of named
+checks with their verdicts and details, and no timing, so the
+comparison covers the catalog as well as the workloads.
 
 It imports the library and bench/workloads.py of the checkout and, for
 each seed given (1 when none is), builds each workload's inputs at that
@@ -98,15 +98,12 @@ def main(argv=None):
     parser.add_argument("--checkout", default=".")
     parser.add_argument("--seed", type=int, action="append",
                         help="a seed to record; repeat for several (default 1)")
-    parser.add_argument("--presets", action="store_true",
-                        help="also record every catalog preset's preset_run report")
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
     table = load_workloads(args.checkout)
     data = {"records": [{"seed": seed, "workloads": record(table, seed)}
-                        for seed in sorted(set(args.seed or [1]))]}
-    if args.presets:
-        data["presets"] = record_presets()
+                        for seed in sorted(set(args.seed or [1]))],
+            "presets": record_presets()}
     with open(args.out, "w") as f:
         json.dump(data, f, indent=1, sort_keys=True)
         f.write("\n")
