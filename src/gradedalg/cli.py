@@ -246,11 +246,14 @@ def _cmd_resolution(args):
     module = _module_over(ring, args.module) if args.module else GradedModule.residue_field(ring)
     res = minimal_resolution(module, h_max=args.hmax, codegree_max=args.codegree_max)
     totals = res.betti.totals()
+    # totals add up only the codegrees the window reaches
     report = {"command": "resolution", "betti": totals,
+              "betti_totals_are_lower_bounds": True,
               "complete": res.betti.complete,
               "window": {"h_max": args.hmax, "codegree_max": args.codegree_max},
               "graded": {f"{i},{n}": c for (i, n), c in sorted(res.betti.entries.items())},
-              "lines": [f"betti totals: {totals}",
+              "lines": [f"betti totals (lower bounds, codegrees <= {args.codegree_max}): "
+                        f"{totals}",
                         f"window h_max {args.hmax}, codegree_max {args.codegree_max}: "
                         f"Betti numbers are exact only for codegrees <= {args.codegree_max}",
                         f"finite length witnessed: {res.betti.complete}"]}

@@ -164,8 +164,17 @@ class ExtensionField:
     The int a stands for the residue polynomial whose coefficients are the
     base-p digits of a, constant term first: 0..p-1 is the prime field and
     p is the class of u, a root of the modulus.  add, sub, neg, mul and inv
-    are lookups in tables built once; building them certifies the field,
-    since every nonzero element must have an inverse.
+    are lookups in tables built once, by lookup in tables already built.
+    The addition table for p^(i+1) adds the digit of p^i mod p and reads
+    the lower digits off the table for p^i.  Row a of the multiplication
+    table is the sum of b_j (a u^j) over the digits b_j of b, extended one
+    digit at a time with one addition lookup per entry, where a u^(j+1)
+    shifts the digits of a u^j up and turns the top one d into d u^k, and
+    u^k is minus the lower terms of the modulus.  So the tables are those
+    of GF(p)[u]/(modulus), a field exactly when the modulus is
+    irreducible, which holds exactly when every nonzero element finds 1 in
+    its row: building them certifies the field, and a reducible modulus
+    raises FieldError.
     """
 
     def __init__(self, p: int, k: int):
@@ -181,20 +190,37 @@ class ExtensionField:
         self.char = p
         self.name = f"GF({p}^{k})"
         self.packed = False
-        self._digits = digits = [tuple(a // p ** i % p for i in range(k)) for a in range(q)]
-        enc = self._encode
-        self._add = [[enc(x + y for x, y in zip(da, db)) for db in digits] for da in digits]
-        self._neg = [enc(-x for x in da) for da in digits]
-        self._sub = [[row[b] for b in self._neg] for row in self._add]
+        self._digits = [tuple(a // p ** i % p for i in range(k)) for a in range(q)]
+        # addition digit by digit: a = lo + p^i d with lo < p^i, and the
+        # table for p^(i+1) reads lo_a + lo_b off the table for p^i
+        add = [[0]]
+        for i in range(k):
+            step = p ** i
+            add = [[x + step * ((d + e) % p) for e in range(p) for x in add[lo]]
+                   for d in range(p) for lo in range(step)]
+        self._add = add
+        self._neg = [row.index(0) for row in add]
+        self._sub = [[row[b] for b in self._neg] for row in add]
+        # u^k = minus the lower terms of the modulus, and x*u shifts the
+        # digits of x up, replacing the top one d by d u^k
+        top = p ** (k - 1)
+        uk = self._encode(-m for m in modulus[:k])
+        uk_times = [0]
+        for _ in range(p - 1):
+            uk_times.append(add[uk_times[-1]][uk])
+        times_u = [add[x % top * p][uk_times[x // top]] for x in range(q)]
         self._mul = []
-        for da in digits:
-            # a*u^i for i < k: shift up, and replace u^k by minus the lower terms
-            shifts = [da]
-            for _ in range(k - 1):
-                s = shifts[-1]
-                shifts.append(tuple(lo - s[-1] * m for lo, m in zip((0,) + s[:-1], modulus)))
-            self._mul.append([enc(sum(c * s[j] for c, s in zip(db, shifts)) for j in range(k))
-                              for db in digits])
+        for a in range(q):
+            # a*b = sum of b_j (a u^j): extend the row over b < p^j by the
+            # multiples of the shift a u^j, one addition lookup per entry
+            row, shift = [0], a
+            for _ in range(k):
+                multiples = [0]
+                for _ in range(p - 1):
+                    multiples.append(add[multiples[-1]][shift])
+                row = [add[x][m] for m in multiples for x in row]
+                shift = times_u[shift]
+            self._mul.append(row)
         self._inv = [0] * q
         for a in range(1, q):
             try:

@@ -10,7 +10,15 @@ Spans, restrictions, coradical steps and module-map checks act through
 the group's generators only (GroupTable.generators, computed once per
 GroupAlgebra), as the Meat-Axe spins a vector: in a finite group every
 element is a positive word in the generators, so whatever each
-generator preserves or commutes with, every element does.
+generator preserves or commutes with, every element does.  A module
+cut out by restrict_to keeps only its generators' matrices and builds
+the others, along the group table, on the first read of its `mats`.
+
+A projective cover acts through one matrix per algebra element: the
+head loop reads the columns of sum_g c_g M_g for each lifted idempotent
+(GroupModule.action_columns), and a summand's part of the cover map is
+the orbit matrix of its generator, with columns M_g gen, times the
+PIM's inclusion.
 
 What depends on the algebra alone is built once per GroupAlgebra, on
 first use, and kept on it: the radical basis of kG, which every radical
@@ -21,7 +29,7 @@ projective cover shares.
 from __future__ import annotations
 
 from .groups import GroupTable
-from .linalg import Matrix, RowSpace
+from .linalg import Matrix, RowSpace, combine, place
 
 
 class RepresentationError(ValueError):
@@ -199,26 +207,61 @@ class GroupAlgebra:
 
 
 class GroupModule:
-    """A kG-module: one action matrix per group element."""
+    """A kG-module: one action matrix per group element.
+
+    `gens` holds the generators' matrices, in the order of
+    GroupAlgebra.generators, and is all the generator loops read.
+    """
 
     def __init__(self, algebra: GroupAlgebra, mats, check=True):
         self.algebra = algebra
         self.field = algebra.field
-        self.mats = mats
+        self._mats = mats
         self.dim = mats[0].nrows if mats else 0
+        self.gens = [mats[s] for s in algebra.generators]
         if check:
             self._check_action()
+
+    @classmethod
+    def _of_generators(cls, algebra, gens, dim):
+        """The module on which the generators act by `gens`, with no other
+        matrix built yet: nothing is checked."""
+        module = cls.__new__(cls)
+        module.algebra, module.field, module.dim = algebra, algebra.field, dim
+        module.gens, module._mats = gens, None
+        return module
+
+    @property
+    def mats(self):
+        """One action matrix per group element.  A module given by its
+        generators' matrices builds the others on first read, as products
+        along the group table, M_(sh) = M_s M_h, reached from the identity,
+        and keeps them."""
+        if self._mats is None:
+            G = self.algebra.group
+            mats = [None] * G.n
+            mats[G.identity] = Matrix.identity(self.field, self.dim)
+            queue = [G.identity]
+            for h in queue:
+                for s, m in zip(self.algebra.generators, self.gens):
+                    sh = G.table[s][h]
+                    if mats[sh] is None:
+                        mats[sh] = m.mul(mats[h])
+                        queue.append(sh)
+            self._mats = mats
+        return self._mats
 
     def _check_action(self):
         # s*h for the generators s and every h: by induction on the word
         # length of g, that gives g*h for every g
         G = self.algebra.group
+        mats = self.mats
         ident = Matrix.identity(self.field, self.dim)
-        if self.mats[G.identity] != ident:
+        if mats[G.identity] != ident:
             raise RepresentationError("identity must act as the identity matrix")
-        for s in self.algebra.generators:
+        for s, m in zip(self.algebra.generators, self.gens):
             for h in range(G.n):
-                if self.mats[s].mul(self.mats[h]) != self.mats[G.table[s][h]]:
+                if m.mul(mats[h]) != mats[G.table[s][h]]:
                     raise RepresentationError("action matrices violate the group table")
 
     @classmethod
@@ -243,6 +286,18 @@ class GroupModule:
             out = [F.add(x, F.mul(c, y)) for x, y in zip(out, gv)]
         return out
 
+    def action_columns(self, vec):
+        """The columns of sum_g vec[g] M_g, the matrix by which the algebra
+        element vec acts, in the field's vector format: column j is
+        act_algebra(vec, unit vector j), with the sum formed once."""
+        F = self.field
+        z = F.zero()
+        support = [(self.mats[g].srows, c) for g, c in enumerate(vec) if c != z]
+        coeffs = [c for _, c in support]
+        rows = [combine(F, [srows[r] for srows, _ in support], coeffs)
+                for r in range(self.dim)]
+        return Matrix._of(F, rows, self.dim).transpose().srows
+
     def submodule_span(self, vectors):
         """Basis of the smallest submodule containing the vectors (lists or
         vectors in the field's format, as they come).
@@ -251,7 +306,7 @@ class GroupModule:
         is a positive word in them, so a space each generator maps into
         itself is a submodule.
         """
-        gens = [self.mats[s] for s in self.algebra.generators]
+        gens = self.gens
         span = RowSpace(self.field, self.dim)
         basis = []
         queue = list(vectors)
@@ -270,33 +325,23 @@ class GroupModule:
         Only the generators' images are solved against incl, which is
         eliminated once, by its first solve: a space the generators keep
         is a submodule, so their solvability alone decides whether basis
-        spans one.  The other matrices are products along the group
-        table, M'_(sh) = M'_s M'_h, reached from the identity.
+        spans one.  The submodule keeps only the generators' matrices;
+        the others are built on first read of its `mats`.
         """
         if not basis:
             return GroupModule.zero(self.algebra), Matrix(self.field, [], ncols=0)
         F = self.field
-        G = self.algebra.group
         incl = Matrix.from_columns(F, basis, self.dim)
-        gen_mats = []
-        for s in self.algebra.generators:
+        gens = []
+        for m in self.gens:
             cols = []
             for b in basis:
-                coords = incl.solve(self.mats[s].apply(b))
+                coords = incl.solve(m.apply(b))
                 if coords is None:
                     raise RepresentationError("basis does not span a submodule")
                 cols.append(coords)
-            gen_mats.append((s, Matrix.from_columns(F, cols, len(basis))))
-        mats = [None] * G.n
-        mats[G.identity] = Matrix.identity(F, len(basis))
-        queue = [G.identity]
-        for h in queue:
-            for s, m in gen_mats:
-                sh = G.table[s][h]
-                if mats[sh] is None:
-                    mats[sh] = m.mul(mats[h])
-                    queue.append(sh)
-        return GroupModule(self.algebra, mats, check=False), incl
+            gens.append(Matrix.from_columns(F, cols, len(basis)))
+        return GroupModule._of_generators(self.algebra, gens, len(basis)), incl
 
     def radical_submodule(self):
         rad = self.algebra.radical_basis()
@@ -355,11 +400,9 @@ def projective_cover(module: GroupModule):
     covered = RowSpace(F, module.dim)
     covered.extend(rad_basis)
     for pim in pims:
-        e = pim["idempotent"]
         # head vectors lying in the chi-isotypic part: images of the lifted
         # idempotent, taken modulo the radical
-        for unit in Matrix.identity(F, module.dim).rows:
-            w = module.act_algebra(e, unit)
+        for w in module.action_columns(pim["idempotent"]):
             if covered.insert(w):
                 summands.append(pim)
                 generators.append(w)
@@ -368,18 +411,21 @@ def projective_cover(module: GroupModule):
     P = summands[0]["module"]
     for s in summands[1:]:
         P = P.direct_sum(s["module"])
-    cols = []
+    # a summand's columns are a * gen for the columns a of its PIM's
+    # inclusion, elements of kG: the orbit matrix of gen, with column g
+    # M_g gen, times the inclusion
+    blocks = []
+    offset = 0
     for s, gen in zip(summands, generators):
-        incl = s["inclusion"]
-        for j in range(s["module"].dim):
-            a = incl.column(j)  # an element of kG
-            cols.append(module.act_algebra(a, gen))
-    surj = Matrix.from_columns(F, cols, module.dim)
+        orbit = Matrix.from_columns(F, [m.apply(gen) for m in module.mats], module.dim)
+        blocks.append((offset, orbit.mul(s["inclusion"]).srows, False))
+        offset += s["dim"]
+    surj = Matrix._of(F, place(F, blocks, module.dim), P.dim)
     # surjectivity, module-map property, and minimality
     if surj.rank() != module.dim:
         raise RepresentationError("cover map is not surjective")
-    for s in algebra.generators:
-        if module.mats[s].mul(surj) != surj.mul(P.mats[s]):
+    for m, p in zip(module.gens, P.gens):
+        if m.mul(surj) != surj.mul(p):
             raise RepresentationError("cover map is not a module map")
     P_rad = RowSpace(F, P.dim)
     P_rad.extend(P.radical_submodule())
@@ -404,7 +450,7 @@ def k_coradical_tower(module: GroupModule):
     """
     F = module.field
     dim_prev = module.dim
-    gens = [module.mats[s] for s in module.algebra.generators]
+    gens = module.gens
 
     def u_of(basis_vectors):
         vecs = []

@@ -25,7 +25,13 @@ def test_answers_are_recorded_byte_for_byte_alike_in_fresh_processes(tmp_path):
     assert first == second
     assert sorted(json.loads(first)) == ["presets", "records"]
     (data,) = json.loads(first)["records"]
+    assert sorted(data) == ["seed", "squeezed_projective_dims", "workloads"]
     assert data["seed"] == 1
+    # the squeezed resolutions' projective dims, which the workload's
+    # operations (homology only) leave out
+    assert data["squeezed_projective_dims"] == {
+        "a4.gf16.squeezed": [4, 8, 8, 8, 8, 8, 8, 8],
+        "a4.gf4.squeezed": [4, 8, 8, 8, 8, 8, 8, 8]}
     ops = {w: sorted(o) for w, o in data["workloads"].items()}
     assert ops == {
         "presented-rings": ["q8.cech", "q8.hilbert", "rational_x.cech",
@@ -63,5 +69,6 @@ def test_each_of_several_seeds_is_recorded_as_it_is_alone(tmp_path):
     # other element indices
     squeezed = [r["workloads"]["squeezed-groups"] for r in both]
     assert squeezed[0] == squeezed[1]
+    assert both[0]["squeezed_projective_dims"] == both[1]["squeezed_projective_dims"]
     assert all(e["problems"] == [] for r in both for w in r["workloads"].values()
                for e in w.values())

@@ -146,6 +146,20 @@ def test_resolution_reports_its_window(ring_file, capsys):
     assert "exact only for codegrees <= 6" in capsys.readouterr().out
 
 
+def test_resolution_presents_its_betti_totals_as_lower_bounds(ring_file, capsys):
+    # the totals add up only the codegrees up to --codegree-max: k over
+    # k[x]/(x^2) has one generator in codegree i at stage i, so a window
+    # of 2 misses stages 3 and 4, where a window of 6 finds [1] * 5
+    path = ring_file(RING_KX2)
+    assert run_cli(["resolution", path, "--hmax", "4", "--codegree-max", "2", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["betti"] == [1, 1, 1]
+    assert data["betti_totals_are_lower_bounds"] is True
+    assert run_cli(["resolution", path, "--hmax", "4", "--codegree-max", "2"]) == 0
+    assert "betti totals (lower bounds, codegrees <= 2): [1, 1, 1]" in \
+        capsys.readouterr().out
+
+
 def test_hypersurface_matrix_factorization(ring_file, capsys):
     assert run_cli(["hypersurface", ring_file(RING_KX), "--f", "x^2",
                     "--mf", "--hmax", "8"]) == 0

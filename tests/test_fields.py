@@ -120,6 +120,56 @@ def test_a_reducible_modulus_fails_the_table_certificate(monkeypatch):
         ExtensionField(5, 3)
 
 
+# The tables as ExtensionField built them term by term before it built
+# them by lookup: every sum and product encoded afresh from its digits.
+
+def _term_by_term_tables(p, k, modulus):
+    q = p ** k
+    digits = [tuple(a // p ** i % p for i in range(k)) for a in range(q)]
+
+    def enc(coeffs):
+        return sum(c % p * p ** i for i, c in enumerate(coeffs))
+
+    add = [[enc(x + y for x, y in zip(da, db)) for db in digits] for da in digits]
+    neg = [enc(-x for x in da) for da in digits]
+    sub = [[row[b] for b in neg] for row in add]
+    mul = []
+    for da in digits:
+        # a*u^i for i < k: shift up, and replace u^k by minus the lower terms
+        shifts = [da]
+        for _ in range(k - 1):
+            s = shifts[-1]
+            shifts.append(tuple(lo - s[-1] * m for lo, m in zip((0,) + s[:-1], modulus)))
+        mul.append([enc(sum(c * s[j] for c, s in zip(db, shifts)) for j in range(k))
+                    for db in digits])
+    inv = [0] * q
+    for a in range(1, q):
+        if 1 not in mul[a]:
+            raise FieldError("reducible")
+        inv[a] = mul[a].index(1)
+    return {"_add": add, "_sub": sub, "_neg": neg, "_mul": mul, "_inv": inv}
+
+
+@pytest.mark.parametrize("p,k", BUILT_IN)
+def test_lookup_built_tables_match_the_term_by_term_construction(p, k):
+    F = ExtensionField(p, k)
+    for name, table in _term_by_term_tables(p, k, fields._MODULI[(p, k)]).items():
+        assert getattr(F, name) == table, name
+
+
+@pytest.mark.parametrize("p,k,modulus", [
+    (2, 2, (1, 0, 1)),      # u^2 + 1 = (u + 1)^2
+    (3, 2, (2, 0, 1)),      # u^2 + 2 = (u + 1)(u + 2)
+    (2, 4, (1, 0, 0, 0, 1)),  # u^4 + 1 = (u + 1)^4
+])
+def test_a_reducible_modulus_fails_both_constructions(monkeypatch, p, k, modulus):
+    with pytest.raises(FieldError):
+        _term_by_term_tables(p, k, modulus)
+    monkeypatch.setitem(fields._MODULI, (p, k), modulus)
+    with pytest.raises(FieldError, match="reducible"):
+        ExtensionField(p, k)
+
+
 def test_only_built_in_extensions_exist():
     for p, k in [(2, 1), (2, 5), (11, 2), (4, 2)]:
         with pytest.raises(FieldError):

@@ -402,3 +402,79 @@ def test_the_kept_radical_basis_changes_no_answer(monkeypatch, name, field):
     got = squeezed_resolution(group, field, 2), _covers(name, field)
     monkeypatch.setattr(GroupAlgebra, "radical_basis", _radical_basis_every_call)
     assert got == (squeezed_resolution(group, field, 2), _covers(name, field))
+
+
+# -- covers through one action matrix against per-vector actions ----------
+
+def _cover_per_vector(module):
+    """The projective cover as it was built before covers acted through
+    one matrix per algebra element: act_algebra once per unit vector in
+    the head loop and once per inclusion column in the cover map."""
+    algebra, F = module.algebra, module.field
+    if module.dim == 0:
+        return GroupModule.zero(algebra), Matrix(F, [], ncols=0)
+    covered = RowSpace(F, module.dim)
+    covered.extend(module.radical_submodule())
+    summands, generators = [], []
+    for pim in principal_indecomposables(algebra):
+        for unit in Matrix.identity(F, module.dim).rows:
+            w = module.act_algebra(pim["idempotent"], unit)
+            if covered.insert(w):
+                summands.append(pim)
+                generators.append(w)
+    P = summands[0]["module"]
+    for s in summands[1:]:
+        P = P.direct_sum(s["module"])
+    cols = [module.act_algebra(s["inclusion"].column(j), gen)
+            for s, gen in zip(summands, generators) for j in range(s["dim"])]
+    return P, Matrix.from_columns(F, cols, module.dim)
+
+
+@pytest.mark.parametrize("name,field", _GENERATOR_CASES)
+def test_the_cover_matches_the_per_vector_cover(monkeypatch, name, field):
+    A = GroupAlgebra(group_preset(name), field)
+    for M in (GroupModule.trivial(A), A.regular_module()):
+        P, surj = projective_cover(M)
+        ref, ref_surj = _cover_per_vector(M)
+        assert P.mats == ref.mats and surj == ref_surj
+    group = group_preset(name)
+    got = squeezed_resolution(group, field, 2)
+    monkeypatch.setattr(modrep, "projective_cover", _cover_per_vector)
+    assert got == squeezed_resolution(group, field, 2)
+
+
+def test_action_columns_are_the_actions_on_unit_vectors():
+    A = GroupAlgebra(group_preset("a4"), F4)
+    M = principal_indecomposables(A)[1]["module"]
+    a = A.add(A.lifted_idempotents()[0][1], A.scale(F4.generator(), A.basis_element(5)))
+    cols = M.action_columns(a)
+    units = Matrix.identity(F4, M.dim).rows
+    assert Matrix.from_columns(F4, cols, M.dim) == Matrix.from_columns(
+        F4, [M.act_algebra(a, u) for u in units], M.dim)
+
+
+# -- restricted modules build their other matrices on first read ----------
+
+def test_a_restriction_builds_its_other_matrices_on_first_read(monkeypatch):
+    A = GroupAlgebra(group_preset("a4"), F4)
+    reg = A.regular_module()
+    basis = reg.submodule_span([A.lifted_idempotents()[0][1]])
+    products = _counting(monkeypatch, Matrix, "mul")
+    mod, incl = reg.restrict_to(basis)
+    assert products == []  # the generators' matrices are solved, not multiplied
+    mats = mod.mats
+    assert len(products) == A.n - 1  # one product per element but the identity
+    assert mod.mats is mats and len(products) == A.n - 1  # kept
+    assert mod.gens == [mats[s] for s in A.generators]
+    assert mats == _restrict_all_elements(reg, basis)[0].mats
+
+
+def test_a_squeezed_resolution_multiplies_only_what_it_reads(monkeypatch):
+    # 257 Matrix.mul calls when every restriction built all twelve
+    # matrices; the kernel modules N_i now build none of the eleven
+    # others, and each M_i builds them once, for its projective cover
+    products = _counting(monkeypatch, Matrix, "mul")
+    dims, homology = squeezed_resolution(group_preset("a4"), F4, 6)
+    assert homology == [1, 1, 2, 2, 2, 2, 2]
+    assert dims == [4, 8, 8, 8, 8, 8, 8, 8]
+    assert len(products) == 195

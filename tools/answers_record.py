@@ -25,7 +25,11 @@ operation's output goes into one JSON file: Hilbert prefixes, each Cech
 or duality cell with its certified flag and the table's stopping rule,
 the hypersurface's codegree and polynomial, the residue field's Betti
 data and the squeezed homology, with the problems the workload's oracle
-found (none, on correct code).  Keys are sorted and polynomials listed
+found (none, on correct code).  Each seed's record also holds, under
+"squeezed_projective_dims", the projective dims of every squeezed-groups
+resolution (squeezed_resolution(...)[0], which the workload leaves out),
+so the comparison covers the projective covers' sizes as well as the
+homology.  Keys are sorted and polynomials listed
 term by term in sorted order, so the file depends on the answers alone:
 two checkouts that compute the same answers write the same bytes.
 Standard library only.
@@ -60,7 +64,7 @@ def answer(value):
 
 
 def load_workloads(checkout):
-    """The checkout's WORKLOADS table, with its library on the path."""
+    """The checkout's bench/workloads.py module, with its library on the path."""
     src, bench = (os.path.join(os.path.abspath(checkout), d) for d in ("src", "bench"))
     sys.path[:0] = [src, bench]
     import gradedalg
@@ -69,7 +73,7 @@ def load_workloads(checkout):
     found = os.path.dirname(os.path.dirname(os.path.abspath(gradedalg.__file__)))
     if found != src:
         raise RuntimeError(f"imported gradedalg from {found}, not {src}")
-    return workloads.WORKLOADS
+    return workloads
 
 
 def record(table, seed):
@@ -83,6 +87,19 @@ def record(table, seed):
             ops[op.name] = {"answer": answer(result), "problems": op.check(result, ctx)}
         out[name] = ops
     return out
+
+
+def squeezed_projective_dims(workloads, seed):
+    """{operation: projective dims} for each squeezed-groups resolution
+    at the seed, on the group and fields its operations use."""
+    from gradedalg import fields, groups, modrep
+
+    spec = workloads.squeezed_groups_setup(seed)["group"]
+    group = groups.group_from_dict(spec)
+    p = spec["char"]
+    return {f"a4.gf{p ** k}.squeezed": modrep.squeezed_resolution(
+                group, fields.ExtensionField(p, k), workloads.SQUEEZED_STEPS)[0]
+            for k in workloads.SQUEEZED_FIELD_DEGREES}
 
 
 def record_presets():
@@ -100,8 +117,9 @@ def main(argv=None):
                         help="a seed to record; repeat for several (default 1)")
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
-    table = load_workloads(args.checkout)
-    data = {"records": [{"seed": seed, "workloads": record(table, seed)}
+    workloads = load_workloads(args.checkout)
+    data = {"records": [{"seed": seed, "workloads": record(workloads.WORKLOADS, seed),
+                         "squeezed_projective_dims": squeezed_projective_dims(workloads, seed)}
                         for seed in sorted(set(args.seed or [1]))],
             "presets": record_presets()}
     with open(args.out, "w") as f:
